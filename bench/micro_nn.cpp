@@ -1,17 +1,21 @@
 // Microbenchmarks of the neural-network substrate (google-benchmark):
-// matmul, forward/backward passes at the paper's network sizes, the batched
-// vs per-sample inference paths, optimiser steps, and one full DDPG update.
+// matmul, the forward/dW/dX products of one gradient block,
+// forward/backward passes at the paper's network sizes, the batched vs
+// per-sample inference paths, optimiser steps, and one full DDPG update.
 // Every benchmark reports a bytes_per_op counter (heap bytes requested per
 // timed iteration) — the workspace-based hot paths are expected to sit at
 // zero after warmup. Pass `--json <path>` to dump {op, ns_per_op,
 // bytes_per_op, iterations} records (the BENCH_nn.json CI artifact).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "bench_json.h"
 #include "common/rng.h"
 #include "nn/loss.h"
 #include "nn/network.h"
 #include "nn/optimizer.h"
+#include "nn/train_shards.h"
 #include "nn/workspace.h"
 #include "rl/ddpg.h"
 
@@ -50,6 +54,56 @@ void BM_TensorMatmulInto(benchmark::State& state) {
                           static_cast<std::int64_t>(2 * n * n * n));
 }
 BENCHMARK(BM_TensorMatmulInto)->Arg(64)->Arg(128)->Arg(256);
+
+// The three products of one 16-row gradient block (nn::kRowsPerBlock) at
+// the fast (64) and paper (256) layer widths, through the Tensor wrappers
+// over the kern:: seam: forward x·W, dW = xᵀ·dY, dX = dY·Wᵀ. Outputs are
+// caller-owned, so all three must stay at bytes_per_op == 0.
+template <typename Product>
+void run_block_product(benchmark::State& state, Product&& product) {
+  const auto width = static_cast<std::size_t>(state.range(0));
+  const std::size_t rows = nn::kRowsPerBlock;
+  Rng rng(6);
+  nn::Tensor x(rows, width), weights(width, width), dy(rows, width), out;
+  for (std::size_t i = 0; i < x.size(); ++i)
+    x.data()[i] = std::max(0.0, rng.normal());  // ReLU-sparse activations
+  for (std::size_t i = 0; i < weights.size(); ++i)
+    weights.data()[i] = rng.normal();
+  for (std::size_t i = 0; i < dy.size(); ++i) dy.data()[i] = rng.normal();
+  product(x, weights, dy, out);  // warmup sizes `out`
+  const std::uint64_t alloc0 = bench::allocation_mark();
+  for (auto _ : state) {
+    product(x, weights, dy, out);
+    benchmark::DoNotOptimize(out.data());
+  }
+  bench::record_bytes_per_op(state, alloc0);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(2 * rows * width * width));
+}
+
+void BM_BlockForward(benchmark::State& state) {
+  run_block_product(state, [](const nn::Tensor& x, const nn::Tensor& w,
+                              const nn::Tensor&, nn::Tensor& out) {
+    x.matmul_into(w, out);
+  });
+}
+BENCHMARK(BM_BlockForward)->Arg(64)->Arg(256);
+
+void BM_BlockDw(benchmark::State& state) {
+  run_block_product(state, [](const nn::Tensor& x, const nn::Tensor&,
+                              const nn::Tensor& dy, nn::Tensor& out) {
+    x.transposed_matmul_into(dy, out);
+  });
+}
+BENCHMARK(BM_BlockDw)->Arg(64)->Arg(256);
+
+void BM_BlockDx(benchmark::State& state) {
+  run_block_product(state, [](const nn::Tensor&, const nn::Tensor& w,
+                              const nn::Tensor& dy, nn::Tensor& out) {
+    dy.matmul_transposed_into(w, out);
+  });
+}
+BENCHMARK(BM_BlockDx)->Arg(64)->Arg(256);
 
 nn::Network make_mlp(std::size_t width, std::size_t in, std::size_t out,
                      Rng& rng) {

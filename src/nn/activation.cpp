@@ -125,7 +125,12 @@ void activation_backward_into(Activation a, const Tensor& pre,
       for (std::size_t i = 0; i < n; ++i) out[i] = g[i];
       return;
     case Activation::kRelu:
-      for (std::size_t i = 0; i < n; ++i) out[i] = z[i] > 0.0 ? g[i] : 0.0;
+      // Load g[i] unconditionally so the loop is a select, not control
+      // flow, and vectorises; the values are unchanged.
+      for (std::size_t i = 0; i < n; ++i) {
+        const double gi = g[i];
+        out[i] = z[i] > 0.0 ? gi : 0.0;
+      }
       return;
     case Activation::kTanh:
       for (std::size_t i = 0; i < n; ++i)

@@ -1,5 +1,7 @@
 #include "nn/critic_network.h"
 
+#include <cstring>
+
 #include "common/contracts.h"
 
 namespace miras::nn {
@@ -37,10 +39,12 @@ void CriticNetwork::concat_cols_into(const Tensor& a, const Tensor& b,
                                      Tensor& out) {
   MIRAS_EXPECTS(a.rows() == b.rows());
   MIRAS_EXPECTS(&out != &a && &out != &b);
-  out.resize(a.rows(), a.cols() + b.cols());
+  const std::size_t ac = a.cols(), bc = b.cols();
+  out.resize(a.rows(), ac + bc);
   for (std::size_t r = 0; r < a.rows(); ++r) {
-    for (std::size_t c = 0; c < a.cols(); ++c) out(r, c) = a(r, c);
-    for (std::size_t c = 0; c < b.cols(); ++c) out(r, a.cols() + c) = b(r, c);
+    double* row = out.data() + r * (ac + bc);
+    std::memcpy(row, a.data() + r * ac, ac * sizeof(double));
+    std::memcpy(row + ac, b.data() + r * bc, bc * sizeof(double));
   }
 }
 
@@ -112,13 +116,15 @@ void CriticNetwork::backward_into(const Tensor& grad_q, Tensor& grad_states,
   // [h1 || a] columns.
   layers_[1].backward_into(*grad, grad_concat_);
   const std::size_t h1_width = layers_[0].out_dim();
+  const std::size_t width = h1_width + action_dim_;
   grad_h1_.resize(grad_concat_.rows(), h1_width);
   grad_actions.resize(grad_concat_.rows(), action_dim_);
   for (std::size_t r = 0; r < grad_concat_.rows(); ++r) {
-    for (std::size_t c = 0; c < h1_width; ++c)
-      grad_h1_(r, c) = grad_concat_(r, c);
-    for (std::size_t c = 0; c < action_dim_; ++c)
-      grad_actions(r, c) = grad_concat_(r, h1_width + c);
+    const double* row = grad_concat_.data() + r * width;
+    std::memcpy(grad_h1_.data() + r * h1_width, row,
+                h1_width * sizeof(double));
+    std::memcpy(grad_actions.data() + r * action_dim_, row + h1_width,
+                action_dim_ * sizeof(double));
   }
   layers_[0].backward_into(grad_h1_, grad_states);
 }
@@ -140,36 +146,39 @@ const Tensor& CriticNetwork::forward_shard(const Tensor& states,
 }
 
 void CriticNetwork::backward_shard(const Tensor& states, const Tensor& actions,
-                                   const Tensor& grad_q,
-                                   TrainPass& pass) const {
+                                   const Tensor& grad_q, TrainPass& pass,
+                                   CriticGrads what) const {
   MIRAS_EXPECTS(grad_q.cols() == 1);
   MIRAS_EXPECTS(actions.cols() == action_dim_);
   MIRAS_EXPECTS(pass.grads.size() == layers_.size());
-  const Tensor* grad = &grad_q;
-  bool into_a = true;
-  for (std::size_t l = layers_.size() - 1; l >= 2; --l) {
-    Tensor& dst = into_a ? pass.bwd_a : pass.bwd_b;
-    layers_[l].backward_shard(pass.post[l - 1], pass.pre[l], pass.post[l],
-                              *grad, pass.grads[l], pass.grad_pre, dst);
-    grad = &dst;
-    into_a = !into_a;
+  MIRAS_EXPECTS(&grad_q != &pass.bwd_a && &grad_q != &pass.bwd_b);
+  const bool params = what != CriticGrads::kActions;
+  // g is dL/d(pre-activation) of layer l, ping-ponging between bwd_a and
+  // bwd_b; each dX lands directly as the layer below's dL/d(pre).
+  const std::size_t top = layers_.size() - 1;
+  const Tensor* g = &layers_[top].output_grad_pre(
+      pass.pre[top], pass.post[top], grad_q, pass.bwd_a);
+  for (std::size_t l = top; l >= 2; --l) {
+    const DenseLayer& layer = layers_[l];
+    if (params) layer.param_grad_shard(pass.post[l - 1], *g, pass.grads[l]);
+    Tensor& dst = g == &pass.bwd_a ? pass.bwd_b : pass.bwd_a;
+    layer.input_grad_shard(*g, 0, layer.in_dim(), layers_[l - 1].activation(),
+                           pass.pre[l - 1], pass.post[l - 1], pass.grad_pre,
+                           dst);
+    g = &dst;
   }
-  // grad is now dL/d(h2); backprop through the joint layer and split the
-  // [h1 || a] columns.
-  layers_[1].backward_shard(pass.concat, pass.pre[1], pass.post[1], *grad,
-                            pass.grads[1], pass.grad_pre, pass.grad_concat);
-  const std::size_t h1_width = layers_[0].out_dim();
-  pass.grad_h1.resize(pass.grad_concat.rows(), h1_width);
-  pass.grad_actions.resize(pass.grad_concat.rows(), action_dim_);
-  for (std::size_t r = 0; r < pass.grad_concat.rows(); ++r) {
-    for (std::size_t c = 0; c < h1_width; ++c)
-      pass.grad_h1(r, c) = pass.grad_concat(r, c);
-    for (std::size_t c = 0; c < action_dim_; ++c)
-      pass.grad_actions(r, c) = pass.grad_concat(r, h1_width + c);
-  }
-  // dQ/ds lands in a free ping-pong buffer; nothing consumes it.
-  layers_[0].backward_shard(states, pass.pre[0], pass.post[0], pass.grad_h1,
-                            pass.grads[0], pass.grad_pre, pass.bwd_a);
+  // The joint layer's input is [h1 || a]: its dX splits by column range,
+  // so each half is computed only when something reads it. dQ/ds (layer
+  // 0's dX) is never computed: nothing consumes it.
+  const DenseLayer& joint = layers_[1];
+  const std::size_t h1 = layers_[0].out_dim();
+  if (what != CriticGrads::kParameters)
+    joint.input_grad_shard(*g, h1, h1 + action_dim_, pass.grad_actions);
+  if (!params) return;
+  joint.param_grad_shard(pass.concat, *g, pass.grads[1]);
+  joint.input_grad_shard(*g, 0, h1, layers_[0].activation(), pass.pre[0],
+                         pass.post[0], pass.grad_pre, pass.grad_h1);
+  layers_[0].param_grad_shard(states, pass.grad_h1, pass.grads[0]);
 }
 
 double CriticNetwork::sharded_update(const std::vector<TrainPass>& passes,

@@ -22,6 +22,9 @@
 
 namespace miras::nn {
 
+/// Which gradients CriticNetwork::backward_shard produces.
+enum class CriticGrads { kAll, kParameters, kActions };
+
 struct CriticSpec {
   std::size_t state_dim = 0;
   std::size_t action_dim = 0;
@@ -76,13 +79,16 @@ class CriticNetwork {
   const Tensor& forward_shard(const Tensor& states, const Tensor& actions,
                               TrainPass& pass) const;
 
-  /// Re-entrant backward matching the last forward_shard on `pass`:
-  /// accumulates parameter gradients onto pass.grads and writes dQ/da into
-  /// pass.grad_actions (dQ/ds is computed but not exposed — nothing in the
-  /// training loops consumes it). `grad_q` must not alias any pass tensor.
-  /// Touches no critic state.
+  /// Re-entrant backward matching the last forward_shard on `pass`. `what`
+  /// picks the outputs: kParameters writes the block's parameter gradients
+  /// into pass.grads (the TD update), kActions writes dQ/da into
+  /// pass.grad_actions and leaves pass.grads untouched (the critic as the
+  /// actor's conduit), kAll does both. Work only the skipped output needs
+  /// is skipped; dQ/ds is never computed (nothing consumes it). `grad_q`
+  /// must not alias any pass tensor. Touches no critic state.
   void backward_shard(const Tensor& states, const Tensor& actions,
-                      const Tensor& grad_q, TrainPass& pass) const;
+                      const Tensor& grad_q, TrainPass& pass,
+                      CriticGrads what = CriticGrads::kAll) const;
 
   /// Fused tail of one sharded update: reduce passes[0..count), clip the
   /// global gradient norm to `max_norm`, one Adam step (sharded_adam_step,

@@ -1,34 +1,51 @@
-// Raw matmul microkernels behind Tensor::matmul_into.
+// The matmul seam: every product the network stack computes goes through
+// this header.
 //
-// Two kernel families, selected at compile time by MIRAS_NATIVE (which
-// defines MIRAS_NATIVE_KERNELS alongside -march=native):
+// One register-tiled kernel template covers the three training shapes:
 //
-//  - Default build: `gemv_scalar` (m == 1) and the row-blocked
-//    `gemm_rows4` (m > 1) — the historical kernels, verbatim. Both
-//    accumulate every output element's contributions in ascending
-//    reduction-index (p) order, so they are bit-identical to each other
-//    and to the historical i-k-j loop. (Wider row blocking was measured
-//    and rejected: at 512-wide layers an 8-row block's output working set
-//    alone fills a 32 KB L1 and runs ~2.7x slower than 4-row.)
+//   gemm_nn  C = A · B      forward  (A m x k, B k x n)
+//   gemm_tn  C = Aᵀ · B     dW       (A k x m, B k x n)
+//   gemm_nt  C = A · Bᵀ     dX       (A m x k, B n x k, read in place)
 //
-//  - Native build: `gemv_lanes` (m == 1) and `gemm_lanes2` (m > 1). Both
-//    split each element's reduction over four accumulator lanes (p % 4),
-//    each lane summing its subsequence in ascending order, then combine
-//    lanes in the FIXED order ((s0 + s1) + (s2 + s3)) and add the p
-//    remainder last, ascending. The order is a function of k alone —
-//    never of the batch size, the column tiling, or the matrix width — so
-//    within the native build a batched row is still bit-identical to the
-//    same row pushed through the GEMV alone (the kernel invariant in
-//    tensor.h, with the lane order substituted for ascending order).
-//    Lane splitting reorders the floating-point reduction, so the native
-//    kernels agree with the default ones only to rounding (≤ ~1 ulp per
-//    accumulation, pinned in test_kernels.cpp); that is why they are
-//    opt-in, exactly like -march=native's FMA contraction.
+// Contract (what keeps every golden and bit-identity suite unmodified):
+//  - Each output element is one chain of separate multiplies and adds over
+//    the reduction index p in ascending order, starting from +0.0 (or from
+//    the stored C in gemm_tn's accumulate mode). The kernels vectorise
+//    across OUTPUT COLUMNS only, never across p, so a lane computes exactly
+//    what the scalar loop computes, in the same order.
+//  - No FMA: the default build has no -march, and the wide instantiation is
+//    compiled with target("avx2"), which does not enable FMA.
+//  - The template is instantiated twice: at 2 doubles per vector (the
+//    baseline every x86-64 CPU runs) and at 4 doubles per vector under
+//    target("avx2"). The wider one is picked once, from CPUID, the first
+//    time a kernel runs. There is no environment variable, option or flag:
+//    the two instantiations produce the same bits, so the choice is
+//    invisible in results (test_kernels.cpp compares them bitwise).
+//  - Epilogues are fused into the tile store: the forward writes
+//    pre = acc + bias (never accumulating from the bias) and post =
+//    relu(pre); dX applies the ReLU mask of the layer below (mask > 0 ?
+//    acc : +0.0). Both are the operations of the separate bias, activation
+//    and activation-backward passes, element for element.
+//  - Nothing allocates. gemm_nt packs the transposed row panel of A (at
+//    most 8 rows x 256 reduction steps) on the stack; B is read in place,
+//    so no weight-side cache can go stale when the weights change.
 //
-// All kernels assume finite inputs (the zero-skip fast paths drop
-// 0 * non-finite terms that a skipless kernel would propagate as NaN).
-// `out` must not alias `a` or `w`/`b` and is fully written; callers need
-// not zero it.
+// MIRAS_NATIVE (which defines MIRAS_NATIVE_KERNELS alongside -march=native)
+// keeps its lane-split forward kernels, gemv_lanes / gemm_lanes2: each
+// element's reduction is split over four accumulator lanes (p % 4) combined
+// in the fixed order ((s0 + s1) + (s2 + s3)), remainder last. That order is
+// a function of k alone, so within the native build a batched row is still
+// bit-identical to the same row through the GEMV alone — the invariant
+// batched serving relies on — but native results differ from the default
+// build's by rounding (pinned in test_kernels.cpp), exactly like
+// -march=native's FMA contraction. dW and dX use the seam in both builds
+// (under -march=native its target("avx2") clone may contract to FMA too).
+//
+// The single-row forward (m == 1, the serving and rollout shape) stays on
+// the GEMV, whose ascending chain matches the seam's element for element.
+// All kernels assume finite inputs (gemv_scalar's zero-skip drops 0 * x
+// terms, which only differ from the seam for non-finite x). `c` must not
+// alias the operands.
 #pragma once
 
 #include <cstddef>
@@ -41,6 +58,28 @@ inline constexpr bool kNativeKernels = true;
 inline constexpr bool kNativeKernels = false;
 #endif
 
+/// The two instantiations of the seam.
+enum class Isa {
+  kBaseline,  // 2 doubles per vector (SSE2 on x86-64)
+  kAvx2,      // 4 doubles per vector, target("avx2"), no FMA
+};
+
+/// Whether this CPU can run `isa` (kBaseline always can).
+bool isa_supported(Isa isa);
+
+/// The instantiation the un-suffixed entry points run: kAvx2 when the CPU
+/// has it, decided once.
+Isa selected_isa();
+
+/// Fused forward epilogue: c = relu ? relu(acc + bias) : acc + bias, and
+/// pre = acc + bias when `pre` is set. Null bias means +0.0 is not added:
+/// c = acc exactly. `pre` has c's shape and must not alias it.
+struct Epilogue {
+  const double* bias = nullptr;  // 1 x n
+  double* pre = nullptr;         // m x n
+  bool relu = false;
+};
+
 /// out[j] = sum_p a[p] * w[p * n + j], p ascending. a is 1 x k, w is k x n.
 void gemv_scalar(const double* a, const double* w, double* out, std::size_t k,
                  std::size_t n);
@@ -49,11 +88,6 @@ void gemv_scalar(const double* a, const double* w, double* out, std::size_t k,
 /// across eight-column tiles; agrees with gemv_scalar to rounding.
 void gemv_lanes(const double* a, const double* w, double* out, std::size_t k,
                 std::size_t n);
-
-/// out = a * b with a m x k, b k x n; 4-row register blocking, ascending
-/// per-element accumulation.
-void gemm_rows4(const double* a, const double* b, double* out, std::size_t m,
-                std::size_t k, std::size_t n);
 
 /// Lane-split GEMM: two rows per pass, per-element reduction order
 /// identical to gemv_lanes (row for row bit-identical to it).
@@ -70,15 +104,43 @@ inline void gemv(const double* a, const double* w, double* out, std::size_t k,
   }
 }
 
-/// Build-selected GEMM dispatch; row for row bit-identical to gemv() in
-/// the same build.
-inline void gemm(const double* a, const double* b, double* out, std::size_t m,
-                 std::size_t k, std::size_t n) {
-  if constexpr (kNativeKernels) {
-    gemm_lanes2(a, b, out, m, k, n);
-  } else {
-    gemm_rows4(a, b, out, m, k, n);
-  }
+/// The seam proper: C = A · B at `isa`, epilogue fused into the tile
+/// store.
+void gemm_nn(Isa isa, const double* a, const double* b, double* c,
+             std::size_t m, std::size_t k, std::size_t n,
+             const Epilogue& epilogue = {});
+
+/// C = Aᵀ · B with A stored k x m. With `accumulate` every element's chain
+/// starts from the stored C instead of +0.0 (dW += Xᵀ · dY).
+void gemm_tn(Isa isa, const double* a, const double* b, double* c,
+             std::size_t m, std::size_t k, std::size_t n,
+             bool accumulate = false);
+
+/// C = A · Bᵀ with B stored n x k. With `relu_mask` (m x n, C's layout) the
+/// epilogue writes relu_mask > 0 ? acc : +0.0 — dX through the layer
+/// below's ReLU.
+void gemm_nt(Isa isa, const double* a, const double* b, double* c,
+             std::size_t m, std::size_t k, std::size_t n,
+             const double* relu_mask = nullptr);
+
+/// The forward dispatch: C = A · B, then the epilogue. m == 1 runs gemv()
+/// and native builds gemm_lanes2, each followed by the epilogue as a
+/// separate pass (the same per-element arithmetic); every other shape runs
+/// gemm_nn at selected_isa(). Row for row bit-identical to gemv() in the
+/// same build.
+void gemm(const double* a, const double* b, double* c, std::size_t m,
+          std::size_t k, std::size_t n, const Epilogue& epilogue = {});
+
+inline void gemm_tn(const double* a, const double* b, double* c,
+                    std::size_t m, std::size_t k, std::size_t n,
+                    bool accumulate = false) {
+  gemm_tn(selected_isa(), a, b, c, m, k, n, accumulate);
+}
+
+inline void gemm_nt(const double* a, const double* b, double* c,
+                    std::size_t m, std::size_t k, std::size_t n,
+                    const double* relu_mask = nullptr) {
+  gemm_nt(selected_isa(), a, b, c, m, k, n, relu_mask);
 }
 
 }  // namespace miras::nn::kern

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/contracts.h"
+#include "nn/kernels.h"
 
 namespace miras::nn {
 
@@ -41,9 +42,7 @@ DenseLayer::DenseLayer(Tensor weights, Tensor bias, Activation activation)
 const Tensor& DenseLayer::forward(const Tensor& x) {
   MIRAS_EXPECTS(x.cols() == in_dim_);
   last_input_.copy_from(x);
-  x.matmul_into(weights_, last_pre_);
-  last_pre_.add_row_broadcast(bias_);
-  activate_into(activation_, last_pre_, last_post_);
+  affine_into(x, &last_pre_, last_post_);
   return last_post_;
 }
 
@@ -54,10 +53,32 @@ Tensor DenseLayer::forward_const(const Tensor& x) const {
 }
 
 void DenseLayer::forward_into(const Tensor& x, Tensor& out) const {
+  affine_into(x, nullptr, out);
+}
+
+void DenseLayer::affine_into(const Tensor& x, Tensor* pre,
+                             Tensor& post) const {
   MIRAS_EXPECTS(x.cols() == in_dim_);
-  x.matmul_into(weights_, out);
-  out.add_row_broadcast(bias_);
-  activate_inplace(activation_, out);
+  const std::size_t m = x.rows();
+  post.resize(m, out_dim_);
+  if (pre != nullptr) pre->resize(m, out_dim_);
+  // ReLU and identity fold into the GEMM's tile store; the others need the
+  // whole pre-activation (tanh/sigmoid call libm, softmax is row-wise).
+  if (activation_ == Activation::kRelu ||
+      activation_ == Activation::kIdentity) {
+    kern::gemm(x.data(), weights_.data(), post.data(), m, in_dim_, out_dim_,
+               {bias_.data(), pre != nullptr ? pre->data() : nullptr,
+                activation_ == Activation::kRelu});
+    return;
+  }
+  Tensor& z = pre != nullptr ? *pre : post;
+  kern::gemm(x.data(), weights_.data(), z.data(), m, in_dim_, out_dim_,
+             {bias_.data(), nullptr, false});
+  if (pre != nullptr) {
+    activate_into(activation_, *pre, post);
+  } else {
+    activate_inplace(activation_, post);
+  }
 }
 
 Tensor DenseLayer::backward(const Tensor& grad_output) {
@@ -85,30 +106,65 @@ void DenseLayer::backward_into(const Tensor& grad_output, Tensor& grad_input) {
 
 void DenseLayer::forward_shard(const Tensor& x, Tensor& pre,
                                Tensor& post) const {
-  MIRAS_EXPECTS(x.cols() == in_dim_);
   MIRAS_EXPECTS(&pre != &x && &post != &x && &pre != &post);
-  x.matmul_into(weights_, pre);
-  pre.add_row_broadcast(bias_);
-  activate_into(activation_, pre, post);
+  affine_into(x, &pre, post);
 }
 
-void DenseLayer::backward_shard(const Tensor& x, const Tensor& pre,
-                                const Tensor& post, const Tensor& grad_output,
-                                LayerGrad& grad, Tensor& grad_pre_scratch,
-                                Tensor& grad_input) const {
-  MIRAS_EXPECTS(grad_output.rows() == x.rows());
-  MIRAS_EXPECTS(grad_output.cols() == out_dim_);
-  MIRAS_EXPECTS(grad.weight.same_shape(weights_));
-  MIRAS_EXPECTS(grad.bias.same_shape(bias_));
-  const Tensor* grad_pre = &grad_output;
-  if (activation_ != Activation::kIdentity) {
-    activation_backward_into(activation_, pre, post, grad_output,
-                             grad_pre_scratch);
-    grad_pre = &grad_pre_scratch;
+const Tensor& DenseLayer::output_grad_pre(const Tensor& pre,
+                                          const Tensor& post,
+                                          const Tensor& grad_output,
+                                          Tensor& scratch) const {
+  if (activation_ == Activation::kIdentity) return grad_output;
+  activation_backward_into(activation_, pre, post, grad_output, scratch);
+  return scratch;
+}
+
+void DenseLayer::param_grad_shard(const Tensor& x, const Tensor& grad_pre,
+                                  LayerGrad& grad) const {
+  MIRAS_EXPECTS(x.cols() == in_dim_);
+  MIRAS_EXPECTS(grad_pre.rows() == x.rows() && grad_pre.cols() == out_dim_);
+  grad.weight.resize(in_dim_, out_dim_);
+  kern::gemm_tn(x.data(), grad_pre.data(), grad.weight.data(), in_dim_,
+                x.rows(), out_dim_);
+  grad_pre.column_sums_into(grad.bias);
+}
+
+void DenseLayer::input_grad_shard(const Tensor& grad_pre, std::size_t begin,
+                                  std::size_t end, Activation below,
+                                  const Tensor& below_pre,
+                                  const Tensor& below_post, Tensor& scratch,
+                                  Tensor& out) const {
+  switch (below) {
+    case Activation::kIdentity:
+      input_grad_into(grad_pre, begin, end, nullptr, out);
+      return;
+    case Activation::kRelu:
+      MIRAS_EXPECTS(below_pre.rows() == grad_pre.rows() &&
+                    below_pre.cols() == end - begin);
+      MIRAS_EXPECTS(&out != &below_pre);
+      input_grad_into(grad_pre, begin, end, below_pre.data(), out);
+      return;
+    default:
+      input_grad_into(grad_pre, begin, end, nullptr, scratch);
+      activation_backward_into(below, below_pre, below_post, scratch, out);
   }
-  x.transposed_matmul_into(*grad_pre, grad.weight, /*accumulate=*/true);
-  grad_pre->column_sums_into(grad.bias, /*accumulate=*/true);
-  grad_pre->matmul_transposed_into(weights_, grad_input);
+}
+
+void DenseLayer::input_grad_shard(const Tensor& grad_pre, std::size_t begin,
+                                  std::size_t end, Tensor& out) const {
+  input_grad_into(grad_pre, begin, end, nullptr, out);
+}
+
+void DenseLayer::input_grad_into(const Tensor& grad_pre, std::size_t begin,
+                                 std::size_t end, const double* relu_mask,
+                                 Tensor& out) const {
+  MIRAS_EXPECTS(grad_pre.cols() == out_dim_);
+  MIRAS_EXPECTS(begin <= end && end <= in_dim_);
+  MIRAS_EXPECTS(&out != &grad_pre);
+  out.resize(grad_pre.rows(), end - begin);
+  kern::gemm_nt(grad_pre.data(), weights_.data() + begin * out_dim_,
+                out.data(), grad_pre.rows(), out_dim_, end - begin,
+                relu_mask);
 }
 
 void DenseLayer::zero_grad() {

@@ -17,12 +17,12 @@
 
 namespace miras::nn {
 
-/// Caller-owned gradient accumulator for one layer: the unit of the sharded
-/// training path (train_shards.h), where every gradient block accumulates
-/// into its own LayerGrad and the blocks are reduced in fixed order into the
-/// layer's own weight_grad()/bias_grad() buffers. Shapes mirror the layer's
-/// parameters. Cache-line aligned so adjacent blocks' accumulators never
-/// share a line when blocks run on different cores.
+/// Caller-owned gradient block for one layer: the unit of the sharded
+/// training path (train_shards.h), where every gradient block writes its
+/// own LayerGrad and the blocks are reduced in fixed order into the layer's
+/// own weight_grad()/bias_grad() buffers. Shapes mirror the layer's
+/// parameters. Cache-line aligned so adjacent blocks' gradients never share
+/// a line when blocks run on different cores.
 struct alignas(64) LayerGrad {
   Tensor weight;  // in_dim x out_dim
   Tensor bias;    // 1 x out_dim
@@ -75,16 +75,36 @@ class DenseLayer {
   /// `pre`, and `post` must be three distinct tensors.
   void forward_shard(const Tensor& x, Tensor& pre, Tensor& post) const;
 
-  /// Re-entrant backward matching a forward_shard(x, pre, post) call:
-  /// accumulates dL/dW and dL/db onto `grad` (parameter-shaped tensors the
-  /// caller zeroed or partially accumulated) and writes dL/d(input) into
-  /// `grad_input`. `grad_pre_scratch` is caller scratch for
-  /// dL/d(pre-activation); `grad_input` must not alias `grad_output` or
-  /// `grad_pre_scratch`. Touches no layer state, so any number of blocks
-  /// may run concurrently against one layer.
-  void backward_shard(const Tensor& x, const Tensor& pre, const Tensor& post,
-                      const Tensor& grad_output, LayerGrad& grad,
-                      Tensor& grad_pre_scratch, Tensor& grad_input) const;
+  /// dL/d(pre-activation) of the top layer from dL/d(output): `grad_output`
+  /// itself for identity, otherwise activation_backward_into `scratch`
+  /// (which must not alias the other arguments).
+  const Tensor& output_grad_pre(const Tensor& pre, const Tensor& post,
+                                const Tensor& grad_output,
+                                Tensor& scratch) const;
+
+  /// Parameter gradients of one gradient block, given the layer input `x`
+  /// and dL/d(pre-activation) `grad_pre`: grad.weight = xᵀ · grad_pre and
+  /// grad.bias = the column sums of grad_pre. Both are written, not
+  /// accumulated, so `grad` needs no zeroing. Touches no layer state.
+  void param_grad_shard(const Tensor& x, const Tensor& grad_pre,
+                        LayerGrad& grad) const;
+
+  /// dL/d(pre-activation of the layer below) for the input columns
+  /// [begin, end): (grad_pre · W[begin:end]ᵀ) through `below`'s activation,
+  /// whose forward left `below_pre` / `below_post` (those columns only).
+  /// ReLU and identity fold into the kernel epilogue; other activations
+  /// stage the product in `scratch` and run activation_backward_into.
+  /// `out` (resized) must not alias `grad_pre`, `scratch` or the caches.
+  /// Touches no layer state.
+  void input_grad_shard(const Tensor& grad_pre, std::size_t begin,
+                        std::size_t end, Activation below,
+                        const Tensor& below_pre, const Tensor& below_post,
+                        Tensor& scratch, Tensor& out) const;
+
+  /// The same product with no activation below: dL/d(input columns
+  /// [begin, end)).
+  void input_grad_shard(const Tensor& grad_pre, std::size_t begin,
+                        std::size_t end, Tensor& out) const;
 
   /// Zeroes the gradient accumulators.
   void zero_grad();
@@ -102,6 +122,14 @@ class DenseLayer {
   std::size_t parameter_count() const;
 
  private:
+  /// post = act(x · W + b) and, when `pre` is set, pre = x · W + b.
+  void affine_into(const Tensor& x, Tensor* pre, Tensor& post) const;
+
+  /// out = grad_pre · W[begin:end]ᵀ, masked by relu_mask > 0 when set.
+  void input_grad_into(const Tensor& grad_pre, std::size_t begin,
+                       std::size_t end, const double* relu_mask,
+                       Tensor& out) const;
+
   std::size_t in_dim_;
   std::size_t out_dim_;
   Activation activation_;

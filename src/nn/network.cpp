@@ -100,15 +100,25 @@ const Tensor& Network::backward_shard(const Tensor& x,
                                       TrainPass& pass) const {
   MIRAS_EXPECTS(!layers_.empty());
   MIRAS_EXPECTS(pass.grads.size() == layers_.size());
-  const Tensor* g = &grad_output;
-  bool into_a = true;
+  MIRAS_EXPECTS(&grad_output != &pass.bwd_a && &grad_output != &pass.bwd_b);
+  // g is dL/d(pre-activation) of layer l; each dX lands directly as the
+  // layer below's dL/d(pre) (its activation folded into the epilogue), and
+  // g ping-pongs between bwd_a and bwd_b.
+  const std::size_t top = layers_.size() - 1;
+  const Tensor* g = &layers_[top].output_grad_pre(
+      pass.pre[top], pass.post[top], grad_output, pass.bwd_a);
   for (std::size_t l = layers_.size(); l-- > 0;) {
-    const Tensor& input = l == 0 ? x : pass.post[l - 1];
-    Tensor& dst = into_a ? pass.bwd_a : pass.bwd_b;
-    layers_[l].backward_shard(input, pass.pre[l], pass.post[l], *g,
-                              pass.grads[l], pass.grad_pre, dst);
+    const DenseLayer& layer = layers_[l];
+    layer.param_grad_shard(l == 0 ? x : pass.post[l - 1], *g, pass.grads[l]);
+    Tensor& dst = g == &pass.bwd_a ? pass.bwd_b : pass.bwd_a;
+    if (l == 0) {
+      layer.input_grad_shard(*g, 0, layer.in_dim(), dst);
+    } else {
+      layer.input_grad_shard(*g, 0, layer.in_dim(),
+                             layers_[l - 1].activation(), pass.pre[l - 1],
+                             pass.post[l - 1], pass.grad_pre, dst);
+    }
     g = &dst;
-    into_a = !into_a;
   }
   return *g;
 }

@@ -86,8 +86,8 @@ class Network {
   /// Row for row bit-identical to forward() on the same rows.
   const Tensor& forward_shard(const Tensor& x, TrainPass& pass) const;
 
-  /// Re-entrant backward matching the last forward_shard(x, pass):
-  /// accumulates parameter gradients onto pass.grads (reduced later via
+  /// Re-entrant backward matching the last forward_shard(x, pass): writes
+  /// the block's parameter gradients into pass.grads (reduced later via
   /// reduce_gradients) and returns dL/dx (valid until the next
   /// backward_shard on this pass). `grad_output` must not alias pass.bwd_a
   /// or pass.bwd_b. Touches no network state.

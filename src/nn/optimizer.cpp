@@ -62,6 +62,29 @@ void AdamOptimizer::step(std::vector<DenseLayer>& layers) {
   step_scaled(layers, 1.0);
 }
 
+namespace {
+// One Adam update over n parameters, branch-free so it vectorises: the
+// clip scale is a template parameter, hoisting the branch that keeps the
+// unclipped path reading the exact stored gradient out of the loop, and
+// this file builds with -fno-math-errno (src/CMakeLists.txt), which drops
+// std::sqrt's errno call path. Square root and division are correctly
+// rounded in vector form, so every element gets the scalar loop's bits.
+template <bool kScaled>
+void adam_update(double* param, const double* grad, double* m, double* v,
+                 std::size_t n, double scale, double beta1, double beta2,
+                 double learning_rate, double epsilon, double bias1,
+                 double bias2) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const double g = kScaled ? grad[i] * scale : grad[i];
+    m[i] = beta1 * m[i] + (1.0 - beta1) * g;
+    v[i] = beta2 * v[i] + (1.0 - beta2) * g * g;
+    const double m_hat = m[i] / bias1;
+    const double v_hat = v[i] / bias2;
+    param[i] -= learning_rate * m_hat / (std::sqrt(v_hat) + epsilon);
+  }
+}
+}  // namespace
+
 void AdamOptimizer::step_scaled(std::vector<DenseLayer>& layers,
                                 double scale) {
   ensure_state(weight_m_, bias_m_, layers);
@@ -69,21 +92,13 @@ void AdamOptimizer::step_scaled(std::vector<DenseLayer>& layers,
   ++t_;
   const double bias1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
   const double bias2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
+  const auto update = [&](Tensor& param, const Tensor& grad, Tensor& m,
+                          Tensor& v) {
+    const auto run = scale == 1.0 ? adam_update<false> : adam_update<true>;
+    run(param.data(), grad.data(), m.data(), v.data(), param.size(), scale,
+        beta1_, beta2_, learning_rate_, epsilon_, bias1, bias2);
+  };
   for (std::size_t l = 0; l < layers.size(); ++l) {
-    auto update = [&](Tensor& param, const Tensor& grad, Tensor& m, Tensor& v) {
-      for (std::size_t i = 0; i < param.size(); ++i) {
-        // The branch (rather than an unconditional multiply) keeps the
-        // unclipped path reading the exact stored gradient bits.
-        const double g =
-            scale == 1.0 ? grad.data()[i] : grad.data()[i] * scale;
-        m.data()[i] = beta1_ * m.data()[i] + (1.0 - beta1_) * g;
-        v.data()[i] = beta2_ * v.data()[i] + (1.0 - beta2_) * g * g;
-        const double m_hat = m.data()[i] / bias1;
-        const double v_hat = v.data()[i] / bias2;
-        param.data()[i] -=
-            learning_rate_ * m_hat / (std::sqrt(v_hat) + epsilon_);
-      }
-    };
     update(layers[l].weights(), layers[l].weight_grad(), weight_m_[l],
            weight_v_[l]);
     update(layers[l].bias(), layers[l].bias_grad(), bias_m_[l], bias_v_[l]);

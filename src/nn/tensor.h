@@ -1,5 +1,5 @@
 // Dense row-major 2-D tensor (matrix) with the operations the network stack
-// needs: a register-blocked matmul, transpose-free matmul variants,
+// needs: the three matmul shapes (via nn/kernels.h),
 // elementwise arithmetic, row broadcasting. Batches are rows: a forward pass
 // over a batch of B inputs of width D is a (B x D) Tensor.
 //
@@ -15,12 +15,16 @@
 // row-at-a-time passes (see DESIGN.md §5) — blocked kernels may reorder
 // *across* output elements but never within one.
 //
-// matmul_into dispatches through nn/kernels.h: the default build keeps the
-// ascending order everywhere and is byte-identical to historical results;
-// under MIRAS_NATIVE both the GEMV and the GEMM switch to a four-lane split
-// accumulation with one fixed combine order, so the invariant still holds
-// within that build (batched ≡ row-at-a-time, bitwise) but native results
-// differ from default-build results by rounding (see kernels.h).
+// The three products are thin wrappers over ONE seam, nn/kernels.h:
+// matmul_into -> kern::gemm (C = A·B), transposed_matmul_into ->
+// kern::gemm_tn (C = Aᵀ·B, dW), matmul_transposed_into -> kern::gemm_nt
+// (C = A·Bᵀ, dX). The seam vectorises across output columns only, never
+// across the reduction, uses no FMA in the default build, and picks its
+// vector width once from CPUID with no knob — both widths give the same
+// bits. Under MIRAS_NATIVE the forward GEMV/GEMM switch to a four-lane
+// split accumulation with one fixed combine order, so the invariant still
+// holds within that build (batched ≡ row-at-a-time, bitwise) but native
+// results differ from default-build results by rounding (see kernels.h).
 #pragma once
 
 #include <cstddef>
@@ -109,10 +113,6 @@ class Tensor {
 
   /// Adds `bias` (1 x cols) to every row in place.
   void add_row_broadcast(const Tensor& bias);
-
-  /// out = this + bias broadcast over rows, without touching this.
-  /// `bias` is (1 x cols); `out` must not alias this or `bias`.
-  void add_row_broadcast_into(const Tensor& bias, Tensor& out) const;
 
   /// Sums all rows into a 1 x cols tensor (for bias gradients).
   Tensor column_sums() const;

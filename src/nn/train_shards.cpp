@@ -12,13 +12,6 @@ void prepare_pass(const std::vector<DenseLayer>& layers, TrainPass& pass) {
   pass.pre.resize(layers.size());
   pass.post.resize(layers.size());
   pass.grads.resize(layers.size());
-  for (std::size_t l = 0; l < layers.size(); ++l) {
-    LayerGrad& g = pass.grads[l];
-    g.weight.resize(layers[l].weights().rows(), layers[l].weights().cols());
-    g.weight.fill(0.0);
-    g.bias.resize(1, layers[l].bias().cols());
-    g.bias.fill(0.0);
-  }
   pass.loss = 0.0;
 }
 

@@ -3,7 +3,7 @@
 // The training minibatch is split into fixed-size row blocks of
 // kRowsPerBlock rows. Each block runs forward + backward re-entrantly
 // (forward_shard/backward_shard) into its own TrainPass — per-layer caches
-// plus per-layer LayerGrad accumulators — and the block partials are then
+// plus per-layer LayerGrad block gradients — and the block partials are then
 // reduced serially, in ascending block index order, into the network's own
 // gradient buffers before one optimizer step.
 //
@@ -80,22 +80,21 @@ struct alignas(64) TrainPass {
   // Per-layer forward caches (index = layer).
   std::vector<Tensor> pre;
   std::vector<Tensor> post;
-  // Per-layer gradient accumulators, reduced via reduce_gradients().
+  // Per-layer block gradients, reduced via reduce_gradients().
   std::vector<LayerGrad> grads;
-  // Backward scratch: dL/d(pre-activation) and the layer-to-layer
-  // ping-pong pair.
+  // Backward scratch: the product staged ahead of a non-ReLU activation
+  // backward, and the layer-to-layer dL/d(pre-activation) ping-pong pair.
   Tensor grad_pre;
   Tensor bwd_a;
   Tensor bwd_b;
   // Block staging owned by the enclosing loop (input rows, target rows,
-  // auxiliary outputs, loss gradient, the critic's concat/split buffers,
-  // action rows and dL/da).
+  // auxiliary outputs, loss gradient, the critic's [h1 || a] input and its
+  // dL/dh1 half, action rows and dL/da).
   Tensor in;
   Tensor target;
   Tensor out;
   Tensor loss_grad;
   Tensor concat;
-  Tensor grad_concat;
   Tensor grad_h1;
   Tensor actions;
   Tensor grad_actions;
@@ -107,8 +106,9 @@ struct alignas(64) TrainPass {
   Workspace ws;
 };
 
-/// Sizes pass.pre/post/grads for `layers` and zeroes the gradient
-/// accumulators (call once per block per minibatch, from the block body).
+/// Sizes pass.pre/post/grads for `layers` and resets pass.loss (call once
+/// per block per minibatch, from the block body). The gradients need no
+/// zeroing: backward_shard writes every block gradient it produces.
 void prepare_pass(const std::vector<DenseLayer>& layers, TrainPass& pass);
 
 /// Adds the per-block accumulators of passes[0..count) onto the layers' own

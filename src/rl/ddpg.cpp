@@ -130,22 +130,25 @@ std::vector<double> DdpgAgent::normalize_state(
 void DdpgAgent::normalize_states_into(
     const std::vector<const Experience*>& batch, bool next,
     nn::Tensor& out) const {
+  // Mirrors normalize_state() element for element, one state dimension at
+  // a time so its shift and scale are resolved once, writing through a raw
+  // pointer.
+  const double floor =
+      config_.log_state_features ? kMinStddevLog : kMinStddevRaw;
   out.resize(batch.size(), state_dim_);
-  for (std::size_t b = 0; b < batch.size(); ++b) {
-    const auto& raw = next ? batch[b]->next_state : batch[b]->state;
-    MIRAS_EXPECTS(raw.size() == state_dim_);
-    // Mirrors normalize_state() element for element, writing rows in place.
-    for (std::size_t j = 0; j < state_dim_; ++j) {
-      const double feature = state_feature(raw[j]);
-      if (state_stats_[j].count() < 2) {
-        out(b, j) = feature;
-        continue;
-      }
-      const double floor =
-          config_.log_state_features ? kMinStddevLog : kMinStddevRaw;
-      const double mean = state_stats_[j].mean();
-      const double stddev = std::max(state_stats_[j].stddev(), floor);
-      out(b, j) = (feature - mean) / stddev;
+  for (const Experience* e : batch)
+    MIRAS_EXPECTS((next ? e->next_state : e->state).size() == state_dim_);
+  for (std::size_t j = 0; j < state_dim_; ++j) {
+    const bool pass_through = state_stats_[j].count() < 2;
+    const double mean = pass_through ? 0.0 : state_stats_[j].mean();
+    const double stddev =
+        pass_through ? 1.0 : std::max(state_stats_[j].stddev(), floor);
+    double* column = out.data() + j;
+    for (std::size_t b = 0; b < batch.size(); ++b) {
+      const double feature =
+          state_feature((next ? batch[b]->next_state : batch[b]->state)[j]);
+      column[b * state_dim_] =
+          pass_through ? feature : (feature - mean) / stddev;
     }
   }
 }
@@ -438,21 +441,22 @@ double DdpgAgent::update(std::size_t count) {
         // small neighbourhood of the policy, not a knife-edge corner.
         const double kappa = config_.target_policy_smoothing;
         const double uniform_mass = kappa / static_cast<double>(action_dim_);
-        for (std::size_t r = 0; r < rows.size(); ++r)
-          for (std::size_t j = 0; j < action_dim_; ++j)
-            pass.out(r, j) = (1.0 - kappa) * pass.out(r, j) + uniform_mass;
+        double* mu = pass.out.data();
+        for (std::size_t i = 0; i < rows.size() * action_dim_; ++i)
+          mu[i] = (1.0 - kappa) * mu[i] + uniform_mass;
       }
       critic_target_.predict_batch(pass.in, pass.out, pass.ws, pass.target);
+      double* target = pass.target.data();  // rows x 1
       if (config_.twin_critics) {
         critic2_target_.predict_batch(pass.in, pass.out, pass.ws,
                                       pass.loss_grad);
         for (std::size_t r = 0; r < rows.size(); ++r)
-          pass.target(r, 0) = std::min(pass.target(r, 0), pass.loss_grad(r, 0));
+          target[r] = std::min(target[r], pass.loss_grad.data()[r]);
       }
       for (std::size_t r = 0; r < rows.size(); ++r) {
         const Experience* e = batch_scratch_[rows.begin + r];
-        pass.target(r, 0) = std::clamp(
-            e->reward + e->discount * pass.target(r, 0), q_floor, q_ceil);
+        target[r] = std::clamp(e->reward + e->discount * target[r], q_floor,
+                               q_ceil);
       }
       // TD forward+backward for both critics on this block's rows.
       nn::prepare_pass(critic_.layers(), pass);
@@ -462,7 +466,8 @@ double DdpgAgent::update(std::size_t count) {
           critic_.forward_shard(pass.in, pass.actions, pass);
       pass.loss = nn::huber_loss_partial_into(q_values, pass.target, 10.0,
                                               b_size, pass.loss_grad);
-      critic_.backward_shard(pass.in, pass.actions, pass.loss_grad, pass);
+      critic_.backward_shard(pass.in, pass.actions, pass.loss_grad, pass,
+                             nn::CriticGrads::kParameters);
       if (config_.twin_critics) {
         nn::TrainPass& pass2 = critic2_passes_[m];
         nn::prepare_pass(critic2_.layers(), pass2);
@@ -470,7 +475,8 @@ double DdpgAgent::update(std::size_t count) {
             critic2_.forward_shard(pass.in, pass.actions, pass2);
         nn::huber_loss_partial_into(q2_values, pass.target, 10.0, b_size,
                                     pass2.loss_grad);
-        critic2_.backward_shard(pass.in, pass.actions, pass2.loss_grad, pass2);
+        critic2_.backward_shard(pass.in, pass.actions, pass2.loss_grad, pass2,
+                                nn::CriticGrads::kParameters);
       }
     });
     double critic_loss = 0.0;
@@ -494,9 +500,9 @@ double DdpgAgent::update(std::size_t count) {
         0)
       continue;
 
-    // The critic is only a conduit for dQ/da here: its per-block conduit
-    // gradients land in critic_passes_[m].grads and are simply never
-    // reduced, so the critic's own buffers stay untouched.
+    // The critic is only a conduit for dQ/da here: backward_shard in
+    // kActions mode computes no parameter gradients at all, so the
+    // critic's own buffers and its block gradients stay untouched.
     nn::for_each_block(pool_, blocks, grad_shards_, [&](std::size_t m) {
       nn::TrainPass& apass = actor_passes_[m];
       nn::TrainPass& cpass = critic_passes_[m];
@@ -509,16 +515,17 @@ double DdpgAgent::update(std::size_t count) {
       (void)critic_.forward_shard(apass.in, policy_actions, cpass);
       cpass.loss_grad.resize(rows.size(), 1);
       cpass.loss_grad.fill(-1.0 / static_cast<double>(b_size));  // max mean Q
-      critic_.backward_shard(apass.in, policy_actions, cpass.loss_grad, cpass);
+      critic_.backward_shard(apass.in, policy_actions, cpass.loss_grad, cpass,
+                             nn::CriticGrads::kActions);
       if (config_.actor_entropy_coef > 0.0) {
         // loss += beta * sum_j a_j log a_j (negative entropy), averaged over
         // the batch; d/da_j = beta * (log a_j + 1).
         const double beta =
             config_.actor_entropy_coef / static_cast<double>(b_size);
-        for (std::size_t r = 0; r < rows.size(); ++r)
-          for (std::size_t j = 0; j < action_dim_; ++j)
-            cpass.grad_actions(r, j) +=
-                beta * (std::log(std::max(policy_actions(r, j), 1e-12)) + 1.0);
+        double* grad = cpass.grad_actions.data();
+        const double* a = policy_actions.data();
+        for (std::size_t i = 0; i < rows.size() * action_dim_; ++i)
+          grad[i] += beta * (std::log(std::max(a[i], 1e-12)) + 1.0);
       }
       actor_.backward_shard(apass.in, cpass.grad_actions, apass);
     });

@@ -1,9 +1,16 @@
-// Parity and determinism tests for the matmul microkernels (nn/kernels.h).
+// Parity and determinism tests for the matmul seam and the microkernels
+// (nn/kernels.h).
 //
 // The load-bearing properties:
-//  - In the default build the dispatchers are bit-identical to the
-//    historical scalar kernels, so every golden file and bit-identity
-//    suite is untouched by the kernel layer existing at all.
+//  - In the default build every product of the seam — C = A·B with its
+//    fused bias/ReLU epilogue, C = Aᵀ·B plain and accumulating, C = A·Bᵀ
+//    with its fused ReLU mask — equals a naive ascending-k loop BIT FOR BIT
+//    at both instantiations (2 and 4 doubles per vector), on ragged shapes
+//    and on inputs holding exact zeros and -0.0. Bits are compared as
+//    integers: EXPECT_EQ on doubles would let -0.0 pass for +0.0.
+//  - The forward dispatch is bit-identical to the scalar GEMV
+//    row by row, so every golden file and bit-identity suite is untouched
+//    by the kernel layer existing at all.
 //  - gemv_lanes / gemm_lanes2 share ONE per-element reduction order (the
 //    four-lane split), so under MIRAS_NATIVE batched inference stays
 //    bitwise equal to row-at-a-time inference (the tensor.h invariant).
@@ -12,8 +19,10 @@
 //    function of (k) alone, never of output width or batch size.
 //  - Lane results differ from the ascending-order scalar results by at
 //    most the reassociation error bound (~1 ulp per accumulation).
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -27,7 +36,6 @@ namespace {
 
 using kern::gemm;
 using kern::gemm_lanes2;
-using kern::gemm_rows4;
 using kern::gemv;
 using kern::gemv_lanes;
 using kern::gemv_scalar;
@@ -35,6 +43,9 @@ using kern::gemv_scalar;
 struct Shape {
   std::size_t m, k, n;
 };
+
+// Bitwise equality as integers: EXPECT_EQ on doubles equates -0.0 and +0.0.
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 // Ragged shapes exercising every tail path: k%4 lanes remainders, n%tile
 // column tails, m%8 and m%2 row tails, degenerate singletons.
@@ -77,28 +88,32 @@ TEST(Kernels, DispatchMatchesScalarBitwiseInDefaultBuild) {
       gemv_scalar(a.data() + r * s.k, w.data(), via_scalar.data() + r * s.n,
                   s.k, s.n);
     for (std::size_t i = 0; i < via_dispatch.size(); ++i)
-      EXPECT_EQ(via_dispatch[i], via_scalar[i]) << "shape m=" << s.m;
+      EXPECT_EQ(bits(via_dispatch[i]), bits(via_scalar[i])) << "shape m=" << s.m;
     // And the GEMV dispatcher on each row individually.
     for (std::size_t r = 0; r < s.m; ++r) {
       std::vector<double> row(s.n);
       gemv(a.data() + r * s.k, w.data(), row.data(), s.k, s.n);
       for (std::size_t j = 0; j < s.n; ++j)
-        EXPECT_EQ(row[j], via_scalar[r * s.n + j]);
+        EXPECT_EQ(bits(row[j]), bits(via_scalar[r * s.n + j]));
     }
   }
 }
 
-TEST(Kernels, Rows4MatchesRowwiseScalarBitwise) {
+TEST(Kernels, SeamGemmMatchesRowwiseGemvBitwise) {
+  if (kern::kNativeKernels) GTEST_SKIP() << "native-kernel build";
   Rng rng(12);
-  for (const Shape& s : kShapes) {
-    const auto a = random_matrix(s.m, s.k, rng);
-    const auto w = random_matrix(s.k, s.n, rng);
-    std::vector<double> blocked(s.m * s.n), rowwise(s.n);
-    gemm_rows4(a.data(), w.data(), blocked.data(), s.m, s.k, s.n);
-    for (std::size_t r = 0; r < s.m; ++r) {
-      gemv_scalar(a.data() + r * s.k, w.data(), rowwise.data(), s.k, s.n);
-      for (std::size_t j = 0; j < s.n; ++j)
-        EXPECT_EQ(blocked[r * s.n + j], rowwise[j]);
+  for (const kern::Isa isa : {kern::Isa::kBaseline, kern::Isa::kAvx2}) {
+    if (!kern::isa_supported(isa)) continue;
+    for (const Shape& s : kShapes) {
+      const auto a = random_matrix(s.m, s.k, rng);
+      const auto w = random_matrix(s.k, s.n, rng);
+      std::vector<double> blocked(s.m * s.n), rowwise(s.n);
+      kern::gemm_nn(isa, a.data(), w.data(), blocked.data(), s.m, s.k, s.n);
+      for (std::size_t r = 0; r < s.m; ++r) {
+        gemv_scalar(a.data() + r * s.k, w.data(), rowwise.data(), s.k, s.n);
+        for (std::size_t j = 0; j < s.n; ++j)
+          EXPECT_EQ(bits(blocked[r * s.n + j]), bits(rowwise[j]));
+      }
     }
   }
 }
@@ -115,7 +130,7 @@ TEST(Kernels, LanesGemmRowsMatchLanesGemvBitwise) {
     for (std::size_t r = 0; r < s.m; ++r) {
       gemv_lanes(a.data() + r * s.k, w.data(), single.data(), s.k, s.n);
       for (std::size_t j = 0; j < s.n; ++j)
-        EXPECT_EQ(batched[r * s.n + j], single[j])
+        EXPECT_EQ(bits(batched[r * s.n + j]), bits(single[j]))
             << "m=" << s.m << " k=" << s.k << " n=" << s.n << " row " << r;
     }
   }
@@ -139,7 +154,8 @@ TEST(Kernels, LanesReductionOrderIndependentOfColumnTiling) {
       gemv_lanes(a.data(), w_narrow.data(), out_narrow.data(), k, n);
       gemv_lanes(a.data(), w_wide.data(), out_wide.data(), k, wide);
       for (std::size_t j = 0; j < n; ++j)
-        EXPECT_EQ(out_narrow[j], out_wide[j]) << "k=" << k << " n=" << n;
+        EXPECT_EQ(bits(out_narrow[j]), bits(out_wide[j]))
+            << "k=" << k << " n=" << n;
     }
   }
 }
@@ -153,7 +169,8 @@ TEST(Kernels, LanesDeterministicAcrossCalls) {
   gemv_lanes(a.data(), w.data(), first.data(), k, n);
   for (int rep = 0; rep < 8; ++rep) {
     gemv_lanes(a.data(), w.data(), again.data(), k, n);
-    for (std::size_t j = 0; j < n; ++j) EXPECT_EQ(first[j], again[j]);
+    for (std::size_t j = 0; j < n; ++j)
+      EXPECT_EQ(bits(first[j]), bits(again[j]));
   }
 }
 
@@ -190,7 +207,189 @@ TEST(Kernels, MatmulIntoDispatchesGemvForSingleRow) {
   ta.matmul_into(tw, out);
   std::vector<double> direct(n);
   gemv(a.data(), w.data(), direct.data(), k, n);
-  for (std::size_t j = 0; j < n; ++j) EXPECT_EQ(out(0, j), direct[j]);
+  for (std::size_t j = 0; j < n; ++j)
+    EXPECT_EQ(bits(out(0, j)), bits(direct[j]));
+}
+
+// ---- The seam against naive ascending-k references, bit for bit --------
+
+// Normal values sprinkled with exact +0.0 and -0.0 (ReLU outputs and
+// masks, plus the sign of zero the integer comparison can see).
+std::vector<double> signed_zero_matrix(std::size_t rows, std::size_t cols,
+                                       Rng& rng) {
+  std::vector<double> m(rows * cols);
+  for (std::size_t i = 0; i < m.size(); ++i) {
+    const double u = rng.uniform();
+    m[i] = u < 0.15 ? 0.0 : u < 0.3 ? -0.0 : rng.normal();
+  }
+  return m;
+}
+
+// C = A·B (a m x k, b k x n), optionally from a stored C.
+std::vector<double> naive_nn(const std::vector<double>& a,
+                             const std::vector<double>& b, std::size_t m,
+                             std::size_t k, std::size_t n) {
+  std::vector<double> c(m * n);
+  for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t j = 0; j < n; ++j) {
+      double acc = 0.0;
+      for (std::size_t p = 0; p < k; ++p) acc = acc + a[i * k + p] * b[p * n + j];
+      c[i * n + j] = acc;
+    }
+  return c;
+}
+
+// C = Aᵀ·B (a k x m), each chain starting from init[i * n + j].
+std::vector<double> naive_tn(const std::vector<double>& a,
+                             const std::vector<double>& b,
+                             std::vector<double> c, std::size_t m,
+                             std::size_t k, std::size_t n) {
+  for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t j = 0; j < n; ++j) {
+      double acc = c[i * n + j];
+      for (std::size_t p = 0; p < k; ++p) acc = acc + a[p * m + i] * b[p * n + j];
+      c[i * n + j] = acc;
+    }
+  return c;
+}
+
+// C = A·Bᵀ (b n x k).
+std::vector<double> naive_nt(const std::vector<double>& a,
+                             const std::vector<double>& b, std::size_t m,
+                             std::size_t k, std::size_t n) {
+  std::vector<double> c(m * n);
+  for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t j = 0; j < n; ++j) {
+      double acc = 0.0;
+      for (std::size_t p = 0; p < k; ++p) acc = acc + a[i * k + p] * b[j * k + p];
+      c[i * n + j] = acc;
+    }
+  return c;
+}
+
+class KernelSeam : public ::testing::TestWithParam<kern::Isa> {
+ protected:
+  void SetUp() override {
+    if (kern::kNativeKernels) GTEST_SKIP() << "native-kernel build";
+    if (!kern::isa_supported(GetParam()))
+      GTEST_SKIP() << "this CPU lacks the instruction set";
+  }
+
+  // Runs check(m, k, n) over the ragged shape grid.
+  template <typename Check>
+  void for_each_shape(Check&& check) {
+    for (const std::size_t m : {1, 2, 3, 5, 16, 17})
+      for (const std::size_t n : {1, 4, 7, 8, 9, 64, 68})
+        for (const std::size_t k : {1, 4, 16, 64, 68, 257}) {
+          SCOPED_TRACE("m=" + std::to_string(m) + " k=" + std::to_string(k) +
+                       " n=" + std::to_string(n));
+          check(m, k, n);
+          if (HasFailure()) return;
+        }
+  }
+
+  static void expect_bits(const std::vector<double>& got,
+                          const std::vector<double>& want) {
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i)
+      ASSERT_EQ(bits(got[i]), bits(want[i])) << "element " << i;
+  }
+};
+
+TEST_P(KernelSeam, GemmNnMatchesNaiveBitwise) {
+  Rng rng(21);
+  for_each_shape([&](std::size_t m, std::size_t k, std::size_t n) {
+    const auto a = signed_zero_matrix(m, k, rng);
+    const auto b = signed_zero_matrix(k, n, rng);
+    std::vector<double> c(m * n, 7.0);
+    kern::gemm_nn(GetParam(), a.data(), b.data(), c.data(), m, k, n);
+    expect_bits(c, naive_nn(a, b, m, k, n));
+  });
+}
+
+TEST_P(KernelSeam, GemmNnFusedBiasReluEpilogueMatchesSeparatePasses) {
+  Rng rng(22);
+  for_each_shape([&](std::size_t m, std::size_t k, std::size_t n) {
+    const auto a = signed_zero_matrix(m, k, rng);
+    const auto b = signed_zero_matrix(k, n, rng);
+    const auto bias = signed_zero_matrix(1, n, rng);
+    std::vector<double> pre(m * n), post(m * n);
+    kern::gemm_nn(GetParam(), a.data(), b.data(), post.data(), m, k, n,
+                  {bias.data(), pre.data(), true});
+    // The separate passes the epilogue replaces: GEMM, += bias, relu.
+    auto want_pre = naive_nn(a, b, m, k, n);
+    for (std::size_t i = 0; i < m * n; ++i) want_pre[i] += bias[i % n];
+    std::vector<double> want_post(m * n);
+    for (std::size_t i = 0; i < m * n; ++i)
+      want_post[i] = want_pre[i] > 0.0 ? want_pre[i] : 0.0;
+    expect_bits(pre, want_pre);
+    expect_bits(post, want_post);
+  });
+}
+
+TEST_P(KernelSeam, GemmTnMatchesNaiveBitwise) {
+  Rng rng(23);
+  for_each_shape([&](std::size_t m, std::size_t k, std::size_t n) {
+    const auto a = signed_zero_matrix(k, m, rng);
+    const auto b = signed_zero_matrix(k, n, rng);
+    std::vector<double> c(m * n, 7.0);
+    kern::gemm_tn(GetParam(), a.data(), b.data(), c.data(), m, k, n);
+    expect_bits(c, naive_tn(a, b, std::vector<double>(m * n, 0.0), m, k, n));
+  });
+}
+
+TEST_P(KernelSeam, GemmTnAccumulateChainsFromStoredValues) {
+  Rng rng(24);
+  for_each_shape([&](std::size_t m, std::size_t k, std::size_t n) {
+    const auto a = signed_zero_matrix(k, m, rng);
+    const auto b = signed_zero_matrix(k, n, rng);
+    auto c = signed_zero_matrix(m, n, rng);
+    const auto want = naive_tn(a, b, c, m, k, n);
+    kern::gemm_tn(GetParam(), a.data(), b.data(), c.data(), m, k, n,
+                  /*accumulate=*/true);
+    expect_bits(c, want);
+  });
+}
+
+TEST_P(KernelSeam, GemmNtMatchesNaiveBitwise) {
+  Rng rng(25);
+  for_each_shape([&](std::size_t m, std::size_t k, std::size_t n) {
+    const auto a = signed_zero_matrix(m, k, rng);
+    const auto b = signed_zero_matrix(n, k, rng);
+    std::vector<double> c(m * n, 7.0);
+    kern::gemm_nt(GetParam(), a.data(), b.data(), c.data(), m, k, n);
+    expect_bits(c, naive_nt(a, b, m, k, n));
+  });
+}
+
+TEST_P(KernelSeam, GemmNtFusedReluMaskMatchesActivationBackward) {
+  Rng rng(26);
+  for_each_shape([&](std::size_t m, std::size_t k, std::size_t n) {
+    const auto a = signed_zero_matrix(m, k, rng);
+    const auto b = signed_zero_matrix(n, k, rng);
+    const auto mask = signed_zero_matrix(m, n, rng);
+    std::vector<double> c(m * n);
+    kern::gemm_nt(GetParam(), a.data(), b.data(), c.data(), m, k, n,
+                  mask.data());
+    auto want = naive_nt(a, b, m, k, n);
+    for (std::size_t i = 0; i < m * n; ++i)
+      want[i] = mask[i] > 0.0 ? want[i] : 0.0;
+    expect_bits(c, want);
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Isa, KernelSeam,
+    ::testing::Values(kern::Isa::kBaseline, kern::Isa::kAvx2),
+    [](const ::testing::TestParamInfo<kern::Isa>& info) {
+      return std::string(info.param == kern::Isa::kAvx2 ? "avx2" : "baseline");
+    });
+
+TEST(Kernels, SelectedIsaIsTheWidestSupported) {
+  EXPECT_TRUE(kern::isa_supported(kern::Isa::kBaseline));
+  EXPECT_EQ(kern::selected_isa(), kern::isa_supported(kern::Isa::kAvx2)
+                                      ? kern::Isa::kAvx2
+                                      : kern::Isa::kBaseline);
 }
 
 }  // namespace
