@@ -3,18 +3,21 @@
 // instantiates the DRS/HEFT/MONAD baselines, and replays every burst
 // scenario against identically-seeded systems.
 //
-// With --threads N the two trainings run concurrently, MIRAS collects its
-// real episodes and synthetic rollouts on the pool (seed-sharded), and the
-// evaluation grid runs one cell per (scenario, policy) on the pool. The
-// result tables are byte-identical for every thread count: parallel work is
-// decomposed into seed-sharded units merged in index order, never by
-// completion order.
+// With --threads N the two trainings run concurrently (the model-free one on
+// a thread of its own), MIRAS collects its real episodes and synthetic
+// rollouts on the pool (seed-sharded), and the evaluation grid runs one cell
+// per (scenario, policy) on the pool. The result tables are byte-identical
+// for every thread count: parallel work is decomposed into seed-sharded
+// units merged in index order, never by completion order.
 #pragma once
 
+#include <exception>
 #include <functional>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -72,7 +75,8 @@ inline void run_comparison(const ComparisonSetup& setup,
       });
 
   // --- Model-free comparator with the same real-step budget; independent
-  // of the MIRAS training, so it overlaps with it on the pool.
+  // of the MIRAS training, so with a pool it overlaps with it on a thread
+  // of its own.
   const std::size_t total_real_steps =
       setup.miras_config.outer_iterations *
       setup.miras_config.real_steps_per_iteration;
@@ -90,9 +94,19 @@ inline void run_comparison(const ComparisonSetup& setup,
   std::unique_ptr<rl::DdpgAgent> mf_agent;
   {
     ScopedTimer timer(setup.name + " training", options.threads);
-    common::TaskFuture<rl::DdpgAgent> mf_future;
+    // The thread hands back its agent or its exception; the jthread joins
+    // on every exit from this scope.
+    std::optional<rl::DdpgAgent> mf_result;
+    std::exception_ptr mf_error;
+    std::jthread mf_thread;
     if (pool != nullptr)
-      mf_future = pool->submit(train_mf);  // overlaps with the MIRAS training
+      mf_thread = std::jthread([&] {
+        try {
+          mf_result.emplace(train_mf());
+        } catch (...) {
+          mf_error = std::current_exception();
+        }
+      });
     std::vector<core::IterationTrace> traces;
     train_with_checkpoints(
         miras, options, to_lower(setup.name) + "_miras.ckpt",
@@ -105,8 +119,13 @@ inline void run_comparison(const ComparisonSetup& setup,
                 << "\n";
     std::cout << "training model-free DDPG (same " << total_real_steps
               << " real interactions)\n";
-    mf_agent = std::make_unique<rl::DdpgAgent>(
-        pool != nullptr ? mf_future.get() : train_mf());
+    if (mf_thread.joinable()) {
+      mf_thread.join();
+      if (mf_error) std::rethrow_exception(mf_error);
+      mf_agent = std::make_unique<rl::DdpgAgent>(std::move(*mf_result));
+    } else {
+      mf_agent = std::make_unique<rl::DdpgAgent>(train_mf());
+    }
   }
   auto miras_policy = miras.make_policy();
   core::DdpgPolicy rl_policy(mf_agent.get(), "rl");

@@ -1,7 +1,7 @@
 // Microbenchmarks of the neural-network substrate (google-benchmark):
-// matmul, the forward/dW/dX products of one gradient block,
-// forward/backward passes at the paper's network sizes, the batched vs
-// per-sample inference paths, optimiser steps, and one full DDPG update.
+// matmul, the forward/dW/dX products of one gradient block, the batched vs
+// per-sample inference paths at the paper's network sizes, the Adam step,
+// and one full DDPG update.
 // Every benchmark reports a bytes_per_op counter (heap bytes requested per
 // timed iteration) — the workspace-based hot paths are expected to sit at
 // zero after warmup. Pass `--json <path>` to dump {op, ns_per_op,
@@ -12,7 +12,6 @@
 
 #include "bench_json.h"
 #include "common/rng.h"
-#include "nn/loss.h"
 #include "nn/network.h"
 #include "nn/optimizer.h"
 #include "nn/train_shards.h"
@@ -21,22 +20,6 @@
 
 namespace miras {
 namespace {
-
-void BM_TensorMatmul(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Rng rng(1);
-  nn::Tensor a(n, n), b(n, n);
-  for (std::size_t i = 0; i < a.size(); ++i) a.data()[i] = rng.uniform();
-  for (std::size_t i = 0; i < b.size(); ++i) b.data()[i] = rng.uniform();
-  const std::uint64_t alloc0 = bench::allocation_mark();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(a.matmul(b));
-  }
-  bench::record_bytes_per_op(state, alloc0);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(2 * n * n * n));
-}
-BENCHMARK(BM_TensorMatmul)->Arg(64)->Arg(128)->Arg(256);
 
 void BM_TensorMatmulInto(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -166,41 +149,19 @@ void BM_ActorForwardPerSample(benchmark::State& state) {
 }
 BENCHMARK(BM_ActorForwardPerSample)->Arg(64)->Arg(256);
 
-void BM_ActorForwardBackward(benchmark::State& state) {
-  const auto width = static_cast<std::size_t>(state.range(0));
-  Rng rng(3);
-  nn::Network net = make_mlp(width, 4, 4, rng);
-  nn::Tensor batch(64, 4, 0.5);
-  nn::Tensor target(64, 4, 0.25);
-  nn::Tensor loss_grad;
-  // Warmup sizes the cached activations, grad ping-pong, and loss grad.
-  net.zero_grad();
-  nn::mse_loss_into(net.forward(batch), target, loss_grad);
-  net.backward(loss_grad);
-  const std::uint64_t alloc0 = bench::allocation_mark();
-  for (auto _ : state) {
-    net.zero_grad();
-    const nn::Tensor& out = net.forward(batch);
-    benchmark::DoNotOptimize(nn::mse_loss_into(out, target, loss_grad));
-    benchmark::DoNotOptimize(net.backward(loss_grad));
-  }
-  bench::record_bytes_per_op(state, alloc0);
-}
-BENCHMARK(BM_ActorForwardBackward)->Arg(64)->Arg(256);
-
+// One Adam step over the paper's 3x256 actor from filled gradients, the
+// form sharded_adam_step drives (scale 1.0: no clip).
 void BM_AdamStep(benchmark::State& state) {
   Rng rng(4);
   nn::Network net = make_mlp(256, 4, 4, rng);
-  nn::Tensor batch(64, 4, 0.5);
-  nn::Tensor target(64, 4, 0.25);
-  nn::Tensor loss_grad;
-  net.zero_grad();
-  nn::mse_loss_into(net.forward(batch), target, loss_grad);
-  net.backward(loss_grad);
+  for (nn::DenseLayer& layer : net.layers()) {
+    layer.weight_grad().fill(1e-3);
+    layer.bias_grad().fill(1e-3);
+  }
   nn::AdamOptimizer adam(1e-3);
-  adam.step(net.layers());  // warmup allocates the moment buffers
+  adam.step_scaled(net.layers(), 1.0);  // warmup allocates the moments
   const std::uint64_t alloc0 = bench::allocation_mark();
-  for (auto _ : state) adam.step(net.layers());
+  for (auto _ : state) adam.step_scaled(net.layers(), 1.0);
   bench::record_bytes_per_op(state, alloc0);
 }
 BENCHMARK(BM_AdamStep);

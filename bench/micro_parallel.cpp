@@ -1,9 +1,9 @@
 // Microbenchmarks of the parallel execution layer (google-benchmark):
-// ThreadPool dispatch overhead, parallel_for scaling on simulator-sized
-// work units, seed-shard derivation, lockstep rollout batching, and the
-// evaluation grid at 1..N workers (same result every time — only the wall
-// clock moves). Pass `--json <path>` to dump {op, ns_per_op, bytes_per_op,
-// iterations} records (the BENCH_parallel.json CI artifact).
+// parallel_for scaling on simulator-sized work units, seed-shard
+// derivation, lockstep rollout batching, and the evaluation grid at 1..N
+// workers (same result every time — only the wall clock moves). Pass
+// `--json <path>` to dump {op, ns_per_op, bytes_per_op, iterations}
+// records (the BENCH_parallel.json CI artifact).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -37,17 +37,6 @@ void BM_ShardSeed(benchmark::State& state) {
   bench::record_bytes_per_op(state, alloc0);
 }
 BENCHMARK(BM_ShardSeed);
-
-void BM_SubmitOverhead(benchmark::State& state) {
-  common::ThreadPool pool(static_cast<std::size_t>(state.range(0)));
-  const std::uint64_t alloc0 = bench::allocation_mark();
-  for (auto _ : state) {
-    auto future = pool.submit([] { return 1; });
-    benchmark::DoNotOptimize(future.get());
-  }
-  bench::record_bytes_per_op(state, alloc0);
-}
-BENCHMARK(BM_SubmitOverhead)->Arg(1)->Arg(2)->Arg(4);
 
 // Simulator-sized work unit: one seed-sharded 20-window episode. The
 // per-shard cost (~100us) is what EvaluationHarness and the MIRAS

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/contracts.h"
-
 namespace miras::common {
 
 namespace {
@@ -48,41 +46,11 @@ ThreadPool::~ThreadPool() {
   }
   wake_cv_.notify_all();
   for (std::thread& worker : workers_) worker.join();
-  // Workers drain the task queue before exiting, so nothing is left here.
-  MIRAS_EXPECTS(tasks_head_ == nullptr);
 }
 
 std::size_t ThreadPool::hardware_threads() {
   const unsigned n = std::thread::hardware_concurrency();
   return n == 0 ? 1 : static_cast<std::size_t>(n);
-}
-
-void ThreadPool::enqueue(pool_detail::TaskNode* task) {
-  {
-    std::lock_guard<std::mutex> lock(wake_mutex_);
-    MIRAS_EXPECTS(!stopping_.load(std::memory_order_relaxed));
-    if (tasks_tail_ == nullptr) {
-      tasks_head_ = tasks_tail_ = task;
-    } else {
-      tasks_tail_->next = task;
-      tasks_tail_ = task;
-    }
-    tasks_pending_.fetch_add(1, std::memory_order_relaxed);
-  }
-  // One task, one wakeup — notify_all here made submit cost grow with the
-  // worker count (the whole herd woke to fight over a single queue entry).
-  wake_cv_.notify_one();
-}
-
-pool_detail::TaskNode* ThreadPool::try_pop_task() {
-  if (tasks_pending_.load(std::memory_order_acquire) == 0) return nullptr;
-  std::lock_guard<std::mutex> lock(wake_mutex_);
-  pool_detail::TaskNode* task = tasks_head_;
-  if (task == nullptr) return nullptr;
-  tasks_head_ = task->next;
-  if (tasks_head_ == nullptr) tasks_tail_ = nullptr;
-  tasks_pending_.fetch_sub(1, std::memory_order_relaxed);
-  return task;
 }
 
 // The staging protocol pairs with participate(): fields of loop_ may only
@@ -178,7 +146,6 @@ bool ThreadPool::spin_for_work(std::uint64_t seen) const {
   for (std::size_t i = 0; i < spin_iterations_; ++i) {
     const std::uint64_t gen = loop_.gen.load(std::memory_order_acquire);
     if ((gen != seen && (gen & 1) == 0) ||
-        tasks_pending_.load(std::memory_order_acquire) != 0 ||
         stopping_.load(std::memory_order_acquire))
       return true;
     cpu_relax();
@@ -191,7 +158,6 @@ void ThreadPool::park(std::uint64_t seen) {
   wake_cv_.wait(lock, [&] {
     const std::uint64_t gen = loop_.gen.load(std::memory_order_acquire);
     return (gen != seen && (gen & 1) == 0) ||
-           tasks_pending_.load(std::memory_order_relaxed) != 0 ||
            stopping_.load(std::memory_order_relaxed);
   });
 }
@@ -209,12 +175,6 @@ void ThreadPool::worker_loop() {
       participate(loop_);
       continue;
     }
-    if (pool_detail::TaskNode* task = try_pop_task()) {
-      task->run();
-      task->release();
-      continue;
-    }
-    // Tasks are drained before shutdown completes (checked above first).
     if (stopping_.load(std::memory_order_acquire)) return;
     if (!spin_for_work(seen)) park(seen);
   }

@@ -15,26 +15,20 @@
 //    inline on the calling thread (still ascending order), which makes
 //    nested use deadlock-free by construction.
 //
-// Dispatch path (the part PR 6 rewrote): workers are persistent and park on
-// one condition variable. A parallel_for publishes its loop — count, chunk
-// size, body — into a single pool-owned slot guarded by a generation
-// counter (odd = being staged, even = live), wakes the workers once, and
-// everyone claims contiguous index chunks from one atomic counter. No task
-// queue, no per-call heap traffic, no per-task wakeups: a loop costs one
-// notify_all and one atomic fetch_add per chunk. The previous design
+// Dispatch path: workers are persistent and park on one condition
+// variable. A parallel_for publishes its loop — count, chunk size, body —
+// into a single pool-owned slot guarded by a generation counter (odd =
+// being staged, even = live), wakes the workers once, and everyone claims
+// contiguous index chunks from one atomic counter. No task queue, no
+// per-call heap traffic, no per-task wakeups: a loop costs one notify_all
+// and one atomic fetch_add per chunk. The previous design
 // enqueued a heap-allocated std::function per helper through a mutexed
 // queue (~168 B and 2-3 us per task, rising with worker count), which
 // dominated sub-millisecond loop bodies.
 //
-// submit() is a future-returning escape hatch for coarse one-off tasks
-// (e.g. "train these two agents concurrently"); it performs exactly one
-// heap allocation (the task node doubles as the future's shared state).
-// Blocking on a future *from inside a pool task* can deadlock a fully
-// loaded pool; prefer nested parallel_for, or consume futures only from
-// threads that do not live in the pool. A parallel_for waits for every
-// worker that joins its loop, so a worker stuck in a long submitted task
-// delays loops only if it joins mid-flight (it cannot: it checks in only
-// between tasks).
+// parallel_for is the pool's only dispatch path. Coarse one-off concurrency
+// (e.g. "train these two agents concurrently") belongs on a std::jthread of
+// its own, not on the pool.
 #pragma once
 
 #include <atomic>
@@ -44,111 +38,17 @@
 #include <exception>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 namespace miras::common {
 
-namespace pool_detail {
-
-/// Single-allocation task record shared by submit() and TaskFuture: the
-/// callable, the result slot, the ready latch, and the intrusive queue link
-/// live in one heap object. Two references: the queue/worker and the future.
-struct TaskNode {
-  std::atomic<int> refs{2};
-  std::atomic<bool> ready{false};
-  std::exception_ptr error;
-  TaskNode* next = nullptr;
-
-  virtual ~TaskNode() = default;
-  virtual void run() noexcept = 0;
-
-  void release() {
-    if (refs.fetch_sub(1, std::memory_order_acq_rel) == 1) delete this;
-  }
-  void mark_ready() {
-    ready.store(true, std::memory_order_release);
-    ready.notify_all();
-  }
-  void wait_ready() const { ready.wait(false, std::memory_order_acquire); }
-};
-
-template <typename R>
-struct TaskResult : TaskNode {
-  std::optional<R> value;
-};
-
-template <>
-struct TaskResult<void> : TaskNode {};
-
-template <typename Fn, typename R>
-struct TaskImpl final : TaskResult<R> {
-  Fn fn;
-  explicit TaskImpl(Fn f) : fn(std::move(f)) {}
-  void run() noexcept override {
-    try {
-      if constexpr (std::is_void_v<R>) {
-        fn();
-      } else {
-        this->value.emplace(fn());
-      }
-    } catch (...) {
-      this->error = std::current_exception();
-    }
-    this->mark_ready();
-  }
-};
-
-}  // namespace pool_detail
-
-/// Future returned by ThreadPool::submit. Move-only; get() blocks until the
-/// task ran, then returns its result or rethrows its exception. Unlike
-/// std::future this shares a single heap object with the task itself.
-template <typename R>
-class TaskFuture {
- public:
-  TaskFuture() = default;
-  explicit TaskFuture(pool_detail::TaskResult<R>* state) : state_(state) {}
-  TaskFuture(TaskFuture&& other) noexcept : state_(other.state_) {
-    other.state_ = nullptr;
-  }
-  TaskFuture& operator=(TaskFuture&& other) noexcept {
-    if (this != &other) {
-      if (state_ != nullptr) state_->release();
-      state_ = other.state_;
-      other.state_ = nullptr;
-    }
-    return *this;
-  }
-  TaskFuture(const TaskFuture&) = delete;
-  TaskFuture& operator=(const TaskFuture&) = delete;
-  ~TaskFuture() {
-    if (state_ != nullptr) state_->release();
-  }
-
-  bool valid() const { return state_ != nullptr; }
-
-  /// Blocks until the task finished; rethrows the task's exception if it
-  /// threw, otherwise returns its result.
-  R get() {
-    state_->wait_ready();
-    if (state_->error) std::rethrow_exception(state_->error);
-    if constexpr (!std::is_void_v<R>) return std::move(*state_->value);
-  }
-
- private:
-  pool_detail::TaskResult<R>* state_ = nullptr;
-};
-
 class ThreadPool {
  public:
   /// Spawns `threads` workers (at least one). `ThreadPool(1)` behaves like a
-  /// serial executor with the same task ordering guarantees, which is what
-  /// `--threads 1` maps to: parallel_for runs inline on the caller and the
-  /// single worker only serves submit().
+  /// serial executor with the same ordering guarantees: parallel_for runs
+  /// inline on the caller, and the single worker stays parked.
   explicit ThreadPool(std::size_t threads);
   ~ThreadPool();
 
@@ -159,16 +59,6 @@ class ThreadPool {
 
   /// Reasonable default worker count for this machine.
   static std::size_t hardware_threads();
-
-  /// Enqueues `fn` and returns its future. Exceptions thrown by `fn` are
-  /// captured and rethrown from TaskFuture::get(). One heap allocation.
-  template <typename Fn, typename R = std::invoke_result_t<std::decay_t<Fn>>>
-  TaskFuture<R> submit(Fn&& fn) {
-    auto* node =
-        new pool_detail::TaskImpl<std::decay_t<Fn>, R>(std::forward<Fn>(fn));
-    enqueue(node);
-    return TaskFuture<R>(node);
-  }
 
   /// Runs body(0) .. body(count-1), each exactly once, distributed over the
   /// workers *and* the calling thread in contiguous chunks of `chunk`
@@ -230,8 +120,6 @@ class ThreadPool {
   void participate(Loop& loop);
   void finish_participation(Loop& loop);
   void wait_done(Loop& loop);
-  void enqueue(pool_detail::TaskNode* task);
-  pool_detail::TaskNode* try_pop_task();
   void worker_loop();
   bool spin_for_work(std::uint64_t seen) const;
   void park(std::uint64_t seen);
@@ -240,18 +128,14 @@ class ThreadPool {
   Loop loop_;
   // Serialises top-level parallel_for calls (one live loop slot).
   std::mutex loop_mutex_;
-  // Worker parking: predicate covers a new loop generation, pending tasks,
-  // and shutdown. The loop generation is published under this mutex so a
-  // parking worker can never miss a wakeup.
+  // Worker parking: predicate covers a new loop generation and shutdown.
+  // The loop generation is published under this mutex so a parking worker
+  // can never miss a wakeup.
   std::mutex wake_mutex_;
   std::condition_variable wake_cv_;
   // Caller-side completion parking (active == 0).
   std::mutex done_mutex_;
   std::condition_variable done_cv_;
-  // Intrusive task queue (head/tail guarded by wake_mutex_).
-  pool_detail::TaskNode* tasks_head_ = nullptr;
-  pool_detail::TaskNode* tasks_tail_ = nullptr;
-  std::atomic<int> tasks_pending_{0};
   std::atomic<bool> stopping_{false};
   // Busy-wait iterations before a worker parks; zero when the pool would
   // oversubscribe the machine (spinning then only steals cycles from the

@@ -280,7 +280,7 @@ void DynamicsModel::restore_state(persist::BinaryReader& in) {
         std::to_string(action_dim_) + ")");
   rng_.set_state(persist::read_rng_state(in));
   network_ = nn::read_network(in);
-  optimizer_.restore_state(in);
+  optimizer_.restore_state(in, network_.layers());
   input_norm_.mean = in.vec_f64();
   input_norm_.stddev = in.vec_f64();
   output_norm_.mean = in.vec_f64();

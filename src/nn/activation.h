@@ -6,7 +6,8 @@
 // tensors so hot paths reuse workspace memory instead of allocating.
 //
 // Softmax is handled as a distinct case because its Jacobian is not
-// elementwise; DenseLayer special-cases it in backward().
+// elementwise; DenseLayer routes it through activation_backward_into rather
+// than the kernels' fused ReLU mask.
 #pragma once
 
 #include <string>

@@ -5,9 +5,19 @@
 #include <cmath>
 #include <functional>
 
+#include "common/contracts.h"
 #include "nn/tensor.h"
 
 namespace miras::nn {
+
+/// sum_ij a(i, j) * w(i, j): the scalar probe the gradient checks
+/// differentiate. Its gradient with respect to `a` is `w`.
+inline double weighted_sum(const Tensor& a, const Tensor& w) {
+  MIRAS_EXPECTS(a.same_shape(w));
+  double acc = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) acc += a.data()[i] * w.data()[i];
+  return acc;
+}
 
 /// Central-difference estimate of d f / d x(i, j).
 inline double finite_difference(const std::function<double(const Tensor&)>& f,

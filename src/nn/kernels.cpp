@@ -218,11 +218,10 @@ MIRAS_KERNEL void accumulate(V (&acc)[R][NV], const double* a,
   }
 }
 
-// How a row tile's chains start and end: from +0.0 and stored as they are
-// (kPlain), from the stored C (kAccumulate, gemm_tn), or from +0.0 through
-// the forward epilogue (kEpilogue). A template parameter, so the short-k
-// dW tiles carry no epilogue branches.
-enum class TileMode { kPlain, kAccumulate, kEpilogue };
+// How a row tile's chains end: stored as they are (kPlain) or through the
+// forward epilogue (kEpilogue). Both start from +0.0. A template parameter,
+// so the short-k dW tiles carry no epilogue branches.
+enum class TileMode { kPlain, kEpilogue };
 
 // C = A · B (a_rs = k, a_ps = 1) and C = Aᵀ · B (a_rs = 1, a_ps = m).
 struct RowArgs {
@@ -248,11 +247,7 @@ MIRAS_KERNEL void row_tile(const RowArgs& g, std::size_t i, std::size_t j) {
 #pragma GCC unroll 4
   for (int r = 0; r < R; ++r) {
 #pragma GCC unroll 4
-    for (int v = 0; v < NV; ++v) {
-      acc[r][v] = V{};
-      if constexpr (kMode == TileMode::kAccumulate)
-        load(acc[r][v], c + r * g.n + v * L);
-    }
+    for (int v = 0; v < NV; ++v) acc[r][v] = V{};
   }
   accumulate<V, R, NV>(acc, g.a + i * g.a_rs, g.a_rs, g.a_ps, g.b + j, g.n,
                        g.k);
@@ -317,14 +312,10 @@ MIRAS_KERNEL void column_strips(const RowArgs& g, std::size_t m) {
 
 template <class V>
 MIRAS_KERNEL void rows(const RowArgs& g, std::size_t m) {
-  switch (g.mode) {
-    case TileMode::kPlain: column_strips<TileMode::kPlain, V>(g, m); break;
-    case TileMode::kAccumulate:
-      column_strips<TileMode::kAccumulate, V>(g, m);
-      break;
-    case TileMode::kEpilogue:
-      column_strips<TileMode::kEpilogue, V>(g, m);
-      break;
+  if (g.mode == TileMode::kPlain) {
+    column_strips<TileMode::kPlain, V>(g, m);
+  } else {
+    column_strips<TileMode::kEpilogue, V>(g, m);
   }
 }
 
@@ -476,10 +467,8 @@ void gemm_nn(Isa isa, const double* a, const double* b, double* c,
 }
 
 void gemm_tn(Isa isa, const double* a, const double* b, double* c,
-             std::size_t m, std::size_t k, std::size_t n, bool accumulate) {
-  run_rows(isa,
-           RowArgs{a, 1, m, b, c, k, n, Epilogue{},
-                   accumulate ? TileMode::kAccumulate : TileMode::kPlain},
+             std::size_t m, std::size_t k, std::size_t n) {
+  run_rows(isa, RowArgs{a, 1, m, b, c, k, n, Epilogue{}, TileMode::kPlain},
            m);
 }
 

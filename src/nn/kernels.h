@@ -9,10 +9,10 @@
 //
 // Contract (what keeps every golden and bit-identity suite unmodified):
 //  - Each output element is one chain of separate multiplies and adds over
-//    the reduction index p in ascending order, starting from +0.0 (or from
-//    the stored C in gemm_tn's accumulate mode). The kernels vectorise
-//    across OUTPUT COLUMNS only, never across p, so a lane computes exactly
-//    what the scalar loop computes, in the same order.
+//    the reduction index p in ascending order, starting from +0.0. The
+//    kernels vectorise across OUTPUT COLUMNS only, never across p, so a
+//    lane computes exactly what the scalar loop computes, in the same
+//    order.
 //  - No FMA: the default build has no -march, and the wide instantiation is
 //    compiled with target("avx2"), which does not enable FMA.
 //  - The template is instantiated twice: at 2 doubles per vector (the
@@ -110,11 +110,9 @@ void gemm_nn(Isa isa, const double* a, const double* b, double* c,
              std::size_t m, std::size_t k, std::size_t n,
              const Epilogue& epilogue = {});
 
-/// C = Aᵀ · B with A stored k x m. With `accumulate` every element's chain
-/// starts from the stored C instead of +0.0 (dW += Xᵀ · dY).
+/// C = Aᵀ · B with A stored k x m (dW = Xᵀ · dY).
 void gemm_tn(Isa isa, const double* a, const double* b, double* c,
-             std::size_t m, std::size_t k, std::size_t n,
-             bool accumulate = false);
+             std::size_t m, std::size_t k, std::size_t n);
 
 /// C = A · Bᵀ with B stored n x k. With `relu_mask` (m x n, C's layout) the
 /// epilogue writes relu_mask > 0 ? acc : +0.0 — dX through the layer
@@ -132,9 +130,8 @@ void gemm(const double* a, const double* b, double* c, std::size_t m,
           std::size_t k, std::size_t n, const Epilogue& epilogue = {});
 
 inline void gemm_tn(const double* a, const double* b, double* c,
-                    std::size_t m, std::size_t k, std::size_t n,
-                    bool accumulate = false) {
-  gemm_tn(selected_isa(), a, b, c, m, k, n, accumulate);
+                    std::size_t m, std::size_t k, std::size_t n) {
+  gemm_tn(selected_isa(), a, b, c, m, k, n);
 }
 
 inline void gemm_nt(const double* a, const double* b, double* c,

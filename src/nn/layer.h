@@ -1,15 +1,12 @@
-// Fully connected layer with explicit forward/backward passes.
-//
-// Parameters are owned by the layer; gradients are stored alongside and are
-// consumed by an Optimizer. Layers cache the last forward pass's input and
-// activations so backward() can be called immediately after forward().
-//
-// The cache tensors and the backward scratch buffer are reused across
-// calls, so a steady-state forward/backward cycle at a fixed batch size
-// performs no heap allocations.
+// Fully connected layer. The layer owns its parameters and the reduced
+// gradient buffers the optimizer reads; it holds no per-pass state. Training
+// forward and backward are const and re-entrant: the caches live in
+// caller-owned tensors (a TrainPass, train_shards.h), so concurrent gradient
+// blocks can pass through one layer at once.
 #pragma once
 
 #include <cstddef>
+#include <vector>
 
 #include "common/rng.h"
 #include "nn/activation.h"
@@ -43,36 +40,16 @@ class DenseLayer {
   std::size_t out_dim() const { return out_dim_; }
   Activation activation() const { return activation_; }
 
-  /// Computes activate(x * W + b) for a batch (rows = samples). Caches
-  /// intermediates for backward(); the returned reference stays valid until
-  /// the next forward() call. `x` must not alias the cache (pass a distinct
-  /// tensor, e.g. the previous layer's output).
-  const Tensor& forward(const Tensor& x);
-
-  /// Same as forward() but does not touch the cache; safe for inference on
-  /// target networks while a training pass is in flight.
-  Tensor forward_const(const Tensor& x) const;
-
-  /// Cache-free inference writing into `out` (resized to x.rows() x
-  /// out_dim). `out` must not alias `x`, the weights, or the bias.
+  /// Inference: activate(x * W + b) for a batch (rows = samples) written
+  /// into `out` (resized to x.rows() x out_dim). `out` must not alias `x`,
+  /// the weights, or the bias.
   void forward_into(const Tensor& x, Tensor& out) const;
 
-  /// Given dL/d(output), accumulates dL/dW and dL/db into the gradient
-  /// buffers and returns dL/d(input). Must follow a forward() call with the
-  /// same batch.
-  Tensor backward(const Tensor& grad_output);
-
-  /// backward() writing dL/d(input) into `grad_input` (a caller-owned
-  /// buffer, resized to the batch shape). `grad_input` must not alias
-  /// `grad_output` or any layer state.
-  void backward_into(const Tensor& grad_output, Tensor& grad_input);
-
-  /// Re-entrant training forward: like forward() but the caches live in
-  /// caller-owned buffers, so concurrent row blocks can pass through one
-  /// layer at once. Writes the pre-activations into `pre` and
-  /// activate(pre) into `post` (both resized). Row for row bit-identical
-  /// to forward() on the same rows (kernel invariant, tensor.h). `x`,
-  /// `pre`, and `post` must be three distinct tensors.
+  /// Training forward: writes the pre-activations into `pre` and
+  /// activate(pre) into `post` (both resized). `post` is bit-identical to
+  /// forward_into on the same rows, and row for row independent of the
+  /// other rows (kernel invariant, tensor.h). `x`, `pre`, and `post` must
+  /// be three distinct tensors.
   void forward_shard(const Tensor& x, Tensor& pre, Tensor& post) const;
 
   /// dL/d(pre-activation) of the top layer from dL/d(output): `grad_output`
@@ -106,9 +83,6 @@ class DenseLayer {
   void input_grad_shard(const Tensor& grad_pre, std::size_t begin,
                         std::size_t end, Tensor& out) const;
 
-  /// Zeroes the gradient accumulators.
-  void zero_grad();
-
   Tensor& weights() { return weights_; }
   const Tensor& weights() const { return weights_; }
   Tensor& bias() { return bias_; }
@@ -135,16 +109,20 @@ class DenseLayer {
   Activation activation_;
   Tensor weights_;      // in_dim x out_dim
   Tensor bias_;         // 1 x out_dim
-  Tensor weight_grad_;  // accumulators, same shapes
+  Tensor weight_grad_;  // reduced gradients, same shapes
   Tensor bias_grad_;
-
-  // Forward-pass cache (buffers reused across calls).
-  Tensor last_input_;
-  Tensor last_pre_;
-  Tensor last_post_;
-
-  // Backward-pass scratch (dL/d(pre-activation)).
-  Tensor grad_pre_;
 };
+
+/// The flat parameter walks shared by Network and CriticNetwork. The flat
+/// order is layer by layer, weights then bias.
+std::size_t parameter_count(const std::vector<DenseLayer>& layers);
+std::vector<double> get_parameters(const std::vector<DenseLayer>& layers);
+void set_parameters(std::vector<DenseLayer>& layers,
+                    const std::vector<double>& flat);
+
+/// Polyak update: theta <- tau * source.theta + (1 - tau) * theta, layer by
+/// layer. Requires identical architecture.
+void soft_update(std::vector<DenseLayer>& layers,
+                 const std::vector<DenseLayer>& source, double tau);
 
 }  // namespace miras::nn

@@ -33,17 +33,11 @@ std::size_t Network::output_dim() const {
   return layers_.back().out_dim();
 }
 
-const Tensor& Network::forward(const Tensor& x) {
-  MIRAS_EXPECTS(!layers_.empty());
-  const Tensor* h = &x;
-  for (auto& layer : layers_) h = &layer.forward(*h);
-  return *h;
-}
-
 Tensor Network::predict(const Tensor& x) const {
-  Tensor h = x;
-  for (const auto& layer : layers_) h = layer.forward_const(h);
-  return h;
+  Workspace ws;
+  Tensor out;
+  predict_batch(x, ws, out);
+  return out;
 }
 
 void Network::predict_batch(const Tensor& x, Workspace& ws, Tensor& out) const {
@@ -69,19 +63,6 @@ void Network::predict_one(const std::vector<double>& x, Workspace& ws,
   std::copy(x.begin(), x.end(), ws.x1.data());
   predict_batch(ws.x1, ws, ws.y1);
   out.assign(ws.y1.data(), ws.y1.data() + ws.y1.size());
-}
-
-const Tensor& Network::backward(const Tensor& grad_output) {
-  MIRAS_EXPECTS(!layers_.empty());
-  const Tensor* g = &grad_output;
-  bool into_a = true;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    Tensor& dst = into_a ? bwd_a_ : bwd_b_;
-    it->backward_into(*g, dst);
-    g = &dst;
-    into_a = !into_a;
-  }
-  return *g;
 }
 
 const Tensor& Network::forward_shard(const Tensor& x, TrainPass& pass) const {
@@ -129,39 +110,16 @@ double Network::sharded_update(const std::vector<TrainPass>& passes,
   return sharded_adam_step(passes, count, layers_, max_norm, optimizer);
 }
 
-void Network::zero_grad() {
-  for (auto& layer : layers_) layer.zero_grad();
-}
-
 std::size_t Network::parameter_count() const {
-  std::size_t total = 0;
-  for (const auto& layer : layers_) total += layer.parameter_count();
-  return total;
+  return nn::parameter_count(layers_);
 }
 
 std::vector<double> Network::get_parameters() const {
-  std::vector<double> flat;
-  flat.reserve(parameter_count());
-  for (const auto& layer : layers_) {
-    const Tensor& w = layer.weights();
-    flat.insert(flat.end(), w.data(), w.data() + w.size());
-    const Tensor& b = layer.bias();
-    flat.insert(flat.end(), b.data(), b.data() + b.size());
-  }
-  return flat;
+  return nn::get_parameters(layers_);
 }
 
 void Network::set_parameters(const std::vector<double>& flat) {
-  MIRAS_EXPECTS(flat.size() == parameter_count());
-  std::size_t offset = 0;
-  for (auto& layer : layers_) {
-    Tensor& w = layer.weights();
-    for (std::size_t i = 0; i < w.size(); ++i) w.data()[i] = flat[offset + i];
-    offset += w.size();
-    Tensor& b = layer.bias();
-    for (std::size_t i = 0; i < b.size(); ++i) b.data()[i] = flat[offset + i];
-    offset += b.size();
-  }
+  nn::set_parameters(layers_, flat);
 }
 
 void Network::perturb_parameters(double stddev, Rng& rng) {
@@ -177,19 +135,7 @@ void Network::perturb_parameters(double stddev, Rng& rng) {
 }
 
 void Network::soft_update_from(const Network& source, double tau) {
-  MIRAS_EXPECTS(tau >= 0.0 && tau <= 1.0);
-  MIRAS_EXPECTS(layers_.size() == source.layers_.size());
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
-    Tensor& w = layers_[l].weights();
-    const Tensor& sw = source.layers_[l].weights();
-    MIRAS_EXPECTS(w.same_shape(sw));
-    for (std::size_t i = 0; i < w.size(); ++i)
-      w.data()[i] = tau * sw.data()[i] + (1.0 - tau) * w.data()[i];
-    Tensor& b = layers_[l].bias();
-    const Tensor& sb = source.layers_[l].bias();
-    for (std::size_t i = 0; i < b.size(); ++i)
-      b.data()[i] = tau * sb.data()[i] + (1.0 - tau) * b.data()[i];
-  }
+  soft_update(layers_, source.layers_, tau);
 }
 
 }  // namespace miras::nn

@@ -1,19 +1,20 @@
 // Sequential multilayer perceptron.
 //
 // Supports everything MIRAS needs from its networks:
-//  - batched forward/backward for supervised training (dynamics model,
-//    critic) and policy-gradient training (actor),
+//  - re-entrant training through caller-owned TrainPass buffers
+//    (forward_shard / backward_shard + sharded_update, train_shards.h) for
+//    supervised training (dynamics model) and policy-gradient training
+//    (actor),
 //  - allocation-free inference through a caller-owned Workspace
 //    (predict_batch / predict_one overloads),
 //  - flat parameter get/set for parameter-space exploration noise and for
 //    DDPG's Polyak-averaged target networks,
 //  - value semantics (copyable) so a perturbed/target copy is one line.
 //
-// Thread-safety note: forward/backward mutate per-layer caches, and the
-// Workspace overloads mutate the workspace — both are single-threaded per
-// instance. The allocating `predict` / `predict_one` are const and touch no
-// shared state, so they remain safe to call concurrently on one network
-// (the evaluation grid relies on this).
+// Thread-safety note: the Workspace overloads mutate the workspace and a
+// TrainPass belongs to one block at a time. The allocating `predict` /
+// `predict_one` are const and touch no shared state, so they remain safe
+// to call concurrently on one network (the evaluation grid relies on this).
 #pragma once
 
 #include <cstddef>
@@ -53,19 +54,13 @@ class Network {
   std::vector<DenseLayer>& layers() { return layers_; }
   const std::vector<DenseLayer>& layers() const { return layers_; }
 
-  /// Training-mode forward pass (caches intermediates for backward()). The
-  /// returned reference is the last layer's output buffer; it stays valid
-  /// until the next forward() on this network.
-  const Tensor& forward(const Tensor& x);
-
-  /// Inference-only forward pass; does not disturb training caches.
+  /// Inference-only forward pass: predict_batch on a fresh workspace.
   /// Allocates — use predict_batch for the hot paths.
   Tensor predict(const Tensor& x) const;
 
   /// Inference through workspace buffers: zero steady-state allocations.
-  /// Bit-identical to predict() on the same inputs, and — row for row —
-  /// bit-identical to predicting each row on its own (the kernel invariant
-  /// in tensor.h). `out` must not alias `x`, ws.a, or ws.b.
+  /// Row for row bit-identical to predicting each row on its own (the
+  /// kernel invariant in tensor.h). `out` must not alias `x`, ws.a, or ws.b.
   void predict_batch(const Tensor& x, Workspace& ws, Tensor& out) const;
 
   /// Convenience for a single input vector. Allocates.
@@ -76,19 +71,15 @@ class Network {
   void predict_one(const std::vector<double>& x, Workspace& ws,
                    std::vector<double>& out) const;
 
-  /// Backpropagates dL/d(output); accumulates parameter gradients and
-  /// returns dL/d(input) by reference (valid until the next backward()).
-  const Tensor& backward(const Tensor& grad_output);
-
   /// Re-entrant training forward for one gradient block: caches live in
   /// `pass` (sized by prepare_pass), so concurrent blocks can pass through
-  /// one network at once. Returns the last layer's output (pass.post.back()).
-  /// Row for row bit-identical to forward() on the same rows.
+  /// one network at once. Returns the last layer's output (pass.post.back()),
+  /// bit-identical to predict_batch() on the same rows.
   const Tensor& forward_shard(const Tensor& x, TrainPass& pass) const;
 
   /// Re-entrant backward matching the last forward_shard(x, pass): writes
-  /// the block's parameter gradients into pass.grads (reduced later via
-  /// reduce_gradients) and returns dL/dx (valid until the next
+  /// the block's parameter gradients into pass.grads (reduced later by
+  /// sharded_update) and returns dL/dx (valid until the next
   /// backward_shard on this pass). `grad_output` must not alias pass.bwd_a
   /// or pass.bwd_b. Touches no network state.
   const Tensor& backward_shard(const Tensor& x, const Tensor& grad_output,
@@ -96,13 +87,11 @@ class Network {
 
   /// Fused tail of one sharded update: reduce passes[0..count), clip the
   /// global gradient norm to `max_norm`, one Adam step (sharded_adam_step,
-  /// train_shards.h). Returns the pre-clip norm. The zero_grad is folded
-  /// in — callers do not zero between minibatches.
+  /// train_shards.h). Returns the pre-clip norm. The reduction overwrites
+  /// the layers' gradient buffers, so callers never zero them.
   double sharded_update(const std::vector<TrainPass>& passes,
                         std::size_t count, double max_norm,
                         AdamOptimizer& optimizer);
-
-  void zero_grad();
 
   /// Total scalar parameter count.
   std::size_t parameter_count() const;
@@ -122,10 +111,6 @@ class Network {
 
  private:
   std::vector<DenseLayer> layers_;
-
-  // Backward-pass ping-pong buffers (reused across calls).
-  Tensor bwd_a_;
-  Tensor bwd_b_;
 };
 
 }  // namespace miras::nn

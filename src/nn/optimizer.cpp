@@ -1,6 +1,8 @@
 #include "nn/optimizer.h"
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "common/contracts.h"
 
@@ -20,32 +22,6 @@ void ensure_state(std::vector<Tensor>& weight_state,
 }
 }  // namespace
 
-SgdOptimizer::SgdOptimizer(double learning_rate, double momentum)
-    : learning_rate_(learning_rate), momentum_(momentum) {
-  MIRAS_EXPECTS(learning_rate > 0.0);
-  MIRAS_EXPECTS(momentum >= 0.0 && momentum < 1.0);
-}
-
-void SgdOptimizer::step(std::vector<DenseLayer>& layers) {
-  ensure_state(weight_velocity_, bias_velocity_, layers);
-  for (std::size_t l = 0; l < layers.size(); ++l) {
-    auto update = [&](Tensor& param, const Tensor& grad, Tensor& velocity) {
-      for (std::size_t i = 0; i < param.size(); ++i) {
-        velocity.data()[i] =
-            momentum_ * velocity.data()[i] - learning_rate_ * grad.data()[i];
-        param.data()[i] += velocity.data()[i];
-      }
-    };
-    update(layers[l].weights(), layers[l].weight_grad(), weight_velocity_[l]);
-    update(layers[l].bias(), layers[l].bias_grad(), bias_velocity_[l]);
-  }
-}
-
-void SgdOptimizer::reset() {
-  weight_velocity_.clear();
-  bias_velocity_.clear();
-}
-
 AdamOptimizer::AdamOptimizer(double learning_rate, double beta1, double beta2,
                              double epsilon)
     : learning_rate_(learning_rate),
@@ -56,10 +32,6 @@ AdamOptimizer::AdamOptimizer(double learning_rate, double beta1, double beta2,
   MIRAS_EXPECTS(beta1 >= 0.0 && beta1 < 1.0);
   MIRAS_EXPECTS(beta2 >= 0.0 && beta2 < 1.0);
   MIRAS_EXPECTS(epsilon > 0.0);
-}
-
-void AdamOptimizer::step(std::vector<DenseLayer>& layers) {
-  step_scaled(layers, 1.0);
 }
 
 namespace {
@@ -142,44 +114,53 @@ void AdamOptimizer::save_state(persist::BinaryWriter& out) const {
   write_tensor_state(out, bias_v_);
 }
 
-void AdamOptimizer::restore_state(persist::BinaryReader& in) {
-  t_ = in.u64();
-  weight_m_ = read_tensor_state(in);
-  weight_v_ = read_tensor_state(in);
-  bias_m_ = read_tensor_state(in);
-  bias_v_ = read_tensor_state(in);
-}
-
-void AdamOptimizer::reset() {
-  weight_m_.clear();
-  weight_v_.clear();
-  bias_m_.clear();
-  bias_v_.clear();
-  t_ = 0;
-}
-
-double clip_gradients(std::vector<DenseLayer>& layers, double max_norm) {
-  MIRAS_EXPECTS(max_norm > 0.0);
-  double sq_norm = 0.0;
-  for (const auto& layer : layers) {
-    for (std::size_t i = 0; i < layer.weight_grad().size(); ++i) {
-      const double g = layer.weight_grad().data()[i];
-      sq_norm += g * g;
-    }
-    for (std::size_t i = 0; i < layer.bias_grad().size(); ++i) {
-      const double g = layer.bias_grad().data()[i];
-      sq_norm += g * g;
-    }
+namespace {
+// Throws unless `moments` holds one tensor per layer, shaped like that
+// layer's weights (or bias).
+void check_moments(const std::vector<Tensor>& moments,
+                   const std::vector<DenseLayer>& layers, bool bias,
+                   const char* name, const std::string& context) {
+  if (moments.size() != layers.size())
+    throw std::runtime_error(
+        std::string("persist: optimizer ") + name + " holds " +
+        std::to_string(moments.size()) + " layers, the network has " +
+        std::to_string(layers.size()) + " in " + context);
+  for (std::size_t l = 0; l < layers.size(); ++l) {
+    const Tensor& param = bias ? layers[l].bias() : layers[l].weights();
+    if (!moments[l].same_shape(param))
+      throw std::runtime_error(
+          std::string("persist: optimizer ") + name + " of layer " +
+          std::to_string(l) + " is " + std::to_string(moments[l].rows()) +
+          "x" + std::to_string(moments[l].cols()) + ", the layer's is " +
+          std::to_string(param.rows()) + "x" + std::to_string(param.cols()) +
+          " in " + context);
   }
-  const double norm = std::sqrt(sq_norm);
-  if (norm > max_norm && norm > 0.0) {
-    const double scale = max_norm / norm;
-    for (auto& layer : layers) {
-      layer.weight_grad() *= scale;
-      layer.bias_grad() *= scale;
-    }
+}
+}  // namespace
+
+void AdamOptimizer::restore_state(persist::BinaryReader& in,
+                                  const std::vector<DenseLayer>& layers) {
+  const std::uint64_t t = in.u64();
+  std::vector<Tensor> weight_m = read_tensor_state(in);
+  std::vector<Tensor> weight_v = read_tensor_state(in);
+  std::vector<Tensor> bias_m = read_tensor_state(in);
+  std::vector<Tensor> bias_v = read_tensor_state(in);
+  // An empty state was saved before the first step; step_scaled allocates
+  // the moments for whatever network it then meets.
+  if (!(weight_m.empty() && weight_v.empty() && bias_m.empty() &&
+        bias_v.empty())) {
+    check_moments(weight_m, layers, false, "weight first moment",
+                  in.context());
+    check_moments(weight_v, layers, false, "weight second moment",
+                  in.context());
+    check_moments(bias_m, layers, true, "bias first moment", in.context());
+    check_moments(bias_v, layers, true, "bias second moment", in.context());
   }
-  return norm;
+  t_ = static_cast<std::size_t>(t);
+  weight_m_ = std::move(weight_m);
+  weight_v_ = std::move(weight_v);
+  bias_m_ = std::move(bias_m);
+  bias_v_ = std::move(bias_v);
 }
 
 }  // namespace miras::nn

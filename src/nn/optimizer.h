@@ -1,16 +1,13 @@
-// First-order optimisers operating on a network's layers. State (momentum /
-// Adam moments) is allocated lazily on the first step and keyed by layer
-// index, so one optimiser instance must stay paired with one network.
+// Adam over a network's layers. The moments are allocated on the first
+// step and keyed by layer index, so one optimiser instance must stay paired
+// with one network.
 //
-// step() and clip_gradients() read the layers' own weight_grad()/bias_grad()
-// buffers. Under the sharded training path (train_shards.h) those buffers
-// ARE the reduction target of reduce_gradients(), so the optimiser is
-// oblivious to how the gradients were produced — serial backward and
-// sharded backward+reduce take the identical code path from here on.
+// step_scaled() reads the layers' own weight_grad()/bias_grad() buffers,
+// which sharded_adam_step (train_shards.h) fills by reducing the per-block
+// gradients of one sharded update.
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <vector>
 
 #include "nn/layer.h"
@@ -18,53 +15,30 @@
 
 namespace miras::nn {
 
-class Optimizer {
- public:
-  virtual ~Optimizer() = default;
-
-  /// Applies one update from the accumulated gradients (does not zero them).
-  virtual void step(std::vector<DenseLayer>& layers) = 0;
-
-  /// Drops internal state (moments); used when a network is re-initialised.
-  virtual void reset() = 0;
-};
-
-/// Plain SGD with optional classical momentum.
-class SgdOptimizer final : public Optimizer {
- public:
-  explicit SgdOptimizer(double learning_rate, double momentum = 0.0);
-  void step(std::vector<DenseLayer>& layers) override;
-  void reset() override;
-
- private:
-  double learning_rate_;
-  double momentum_;
-  std::vector<Tensor> weight_velocity_;
-  std::vector<Tensor> bias_velocity_;
-};
-
 /// Adam (Kingma & Ba 2015) with bias correction.
-class AdamOptimizer final : public Optimizer {
+class AdamOptimizer {
  public:
   explicit AdamOptimizer(double learning_rate, double beta1 = 0.9,
                          double beta2 = 0.999, double epsilon = 1e-8);
-  void step(std::vector<DenseLayer>& layers) override;
 
-  /// step() with every gradient scaled by `scale` on the fly — the fused
-  /// form of "clip then step" used by sharded_adam_step (train_shards.h):
-  /// scaling inside the update loop replaces a separate write-back pass
-  /// over all gradient buffers. scale == 1.0 reads the gradients untouched,
-  /// so step(layers) ≡ step_scaled(layers, 1.0) bit for bit.
+  /// One Adam update from the layers' gradient buffers, every gradient
+  /// scaled by `scale` on the fly — the fused form of "clip then step" used
+  /// by sharded_adam_step (train_shards.h). scale == 1.0 reads the
+  /// gradients untouched. Does not modify the gradient buffers.
   void step_scaled(std::vector<DenseLayer>& layers, double scale);
-
-  void reset() override;
 
   /// Snapshot/restore of the mutable optimiser state (step counter and
   /// first/second moments) for crash-resume. Hyperparameters are construction
   /// arguments and are NOT serialised — pair a restored state with an
-  /// optimiser built from the same config.
+  /// optimiser built from the same config. restore_state validates the
+  /// saved moments against `layers`, the network this optimiser will step:
+  /// a non-empty state (saved after at least one step) must hold one moment
+  /// per layer parameter tensor with that tensor's shape, otherwise it
+  /// throws std::runtime_error naming the first mismatching layer. An empty
+  /// state (saved before any step) is valid for any network.
   void save_state(persist::BinaryWriter& out) const;
-  void restore_state(persist::BinaryReader& in);
+  void restore_state(persist::BinaryReader& in,
+                     const std::vector<DenseLayer>& layers);
 
  private:
   double learning_rate_;
@@ -75,9 +49,5 @@ class AdamOptimizer final : public Optimizer {
   std::vector<Tensor> weight_m_, weight_v_;
   std::vector<Tensor> bias_m_, bias_v_;
 };
-
-/// Scales all gradients so their global L2 norm is at most `max_norm`.
-/// Returns the pre-clipping norm.
-double clip_gradients(std::vector<DenseLayer>& layers, double max_norm);
 
 }  // namespace miras::nn

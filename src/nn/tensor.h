@@ -1,12 +1,11 @@
 // Dense row-major 2-D tensor (matrix) with the operations the network stack
-// needs: the three matmul shapes (via nn/kernels.h),
-// elementwise arithmetic, row broadcasting. Batches are rows: a forward pass
-// over a batch of B inputs of width D is a (B x D) Tensor.
+// needs: the three matmul shapes (via nn/kernels.h), in-place accumulation
+// and column sums. Batches are rows: a forward pass over a batch of B inputs
+// of width D is a (B x D) Tensor.
 //
-// Every product kernel has an `_into` variant that writes into a
-// caller-owned output tensor, reusing its heap buffer when the capacity
-// suffices. The hot paths (DDPG updates, synthetic rollouts) route all
-// intermediates through preallocated workspaces via these variants, so
+// Every product writes into a caller-owned output tensor, reusing its heap
+// buffer when the capacity suffices. The hot paths (DDPG updates, synthetic
+// rollouts) route all intermediates through preallocated workspaces, so
 // steady-state inference and training allocate nothing.
 //
 // Kernel invariant: every output element accumulates its contributions in
@@ -65,61 +64,29 @@ class Tensor {
   /// must fill or overwrite.
   void resize(std::size_t rows, std::size_t cols);
 
-  /// Makes this an elementwise copy of `other` (shape included), reusing
-  /// the existing buffer when capacity allows.
-  void copy_from(const Tensor& other);
-
   /// Copies row r out as a vector.
   std::vector<double> row(std::size_t r) const;
 
   /// Overwrites row r. `values.size()` must equal cols().
   void set_row(std::size_t r, const std::vector<double>& values);
 
-  /// this (m x k) * other (k x n) -> (m x n).
-  Tensor matmul(const Tensor& other) const;
-
-  /// matmul writing into `out` (resized to m x n; prior contents dropped).
-  /// `out` must not alias this or `other`.
+  /// this (m x k) * other (k x n) -> `out` (resized to m x n; prior
+  /// contents dropped). `out` must not alias this or `other`.
   void matmul_into(const Tensor& other, Tensor& out) const;
 
-  /// this^T (k x m -> m x k) * other (k x n) -> (m x n), without forming the
-  /// transpose. Used for weight gradients: dW = X^T * dY.
-  Tensor transposed_matmul(const Tensor& other) const;
+  /// this^T (k x m -> m x k) * other (k x n) -> `out` (resized to m x n),
+  /// without forming the transpose. Used for weight gradients: dW = X^T * dY.
+  void transposed_matmul_into(const Tensor& other, Tensor& out) const;
 
-  /// transposed_matmul writing into `out`. With `accumulate` the product is
-  /// added onto the existing contents of `out` (which must already be
-  /// m x n) — the gradient-accumulation shape dW += X^T * dY.
-  void transposed_matmul_into(const Tensor& other, Tensor& out,
-                              bool accumulate = false) const;
-
-  /// this (m x k) * other^T (n x k -> k x n) -> (m x n). Used for input
-  /// gradients: dX = dY * W^T.
-  Tensor matmul_transposed(const Tensor& other) const;
-
-  /// matmul_transposed writing into `out` (resized to m x n).
+  /// this (m x k) * other^T (n x k -> k x n) -> `out` (resized to m x n).
+  /// Used for input gradients: dX = dY * W^T.
   void matmul_transposed_into(const Tensor& other, Tensor& out) const;
 
-  Tensor transposed() const;
-
   Tensor& operator+=(const Tensor& other);
-  Tensor& operator-=(const Tensor& other);
   Tensor& operator*=(double scalar);
-  Tensor operator+(const Tensor& other) const;
-  Tensor operator-(const Tensor& other) const;
-  Tensor operator*(double scalar) const;
 
-  /// Elementwise (Hadamard) product.
-  Tensor hadamard(const Tensor& other) const;
-
-  /// Adds `bias` (1 x cols) to every row in place.
-  void add_row_broadcast(const Tensor& bias);
-
-  /// Sums all rows into a 1 x cols tensor (for bias gradients).
-  Tensor column_sums() const;
-
-  /// column_sums writing into `out` (1 x cols). With `accumulate` the sums
-  /// are added onto the existing contents (bias-gradient accumulation).
-  void column_sums_into(Tensor& out, bool accumulate = false) const;
+  /// Sums all rows into `out` (resized to 1 x cols; for bias gradients).
+  void column_sums_into(Tensor& out) const;
 
   /// Applies f to every element in place. Statically dispatched so the
   /// functor inlines into the loop (no per-element indirect call).
@@ -127,12 +94,6 @@ class Tensor {
   void apply(F&& f) {
     for (double& x : data_) x = f(x);
   }
-
-  /// Sum of all elements.
-  double sum() const;
-
-  /// Frobenius norm.
-  double norm() const;
 
   /// Overwrites every element with `value`.
   void fill(double value);

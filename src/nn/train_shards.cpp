@@ -15,29 +15,14 @@ void prepare_pass(const std::vector<DenseLayer>& layers, TrainPass& pass) {
   pass.loss = 0.0;
 }
 
-void reduce_gradients(const std::vector<TrainPass>& passes, std::size_t count,
-                      std::vector<DenseLayer>& layers) {
-  MIRAS_EXPECTS(count <= passes.size());
-  for (std::size_t m = 0; m < count; ++m) {
-    const TrainPass& pass = passes[m];
-    MIRAS_EXPECTS(pass.grads.size() == layers.size());
-    for (std::size_t l = 0; l < layers.size(); ++l) {
-      layers[l].weight_grad() += pass.grads[l].weight;
-      layers[l].bias_grad() += pass.grads[l].bias;
-    }
-  }
-}
-
 double sharded_adam_step(const std::vector<TrainPass>& passes,
                          std::size_t count, std::vector<DenseLayer>& layers,
                          double max_norm, AdamOptimizer& optimizer) {
   MIRAS_EXPECTS(count <= passes.size());
   MIRAS_EXPECTS(max_norm > 0.0);
-  // Pass 1: zero + reduce + norm, layer by layer. Per element this is the
-  // same left-to-right add chain as reduce_gradients (0 + block_0 + block_1
-  // + ...), and the norm accumulates in clip_gradients' order (ascending
-  // layer, weights then bias) — only the traversal is restructured, so the
-  // result is bit-identical to the unfused sequence.
+  // Pass 1: zero + reduce + norm, layer by layer: per element the
+  // left-to-right chain 0 + block_0 + block_1 + ..., and the norm in
+  // ascending layer order, weights then bias.
   double sq_norm = 0.0;
   for (std::size_t l = 0; l < layers.size(); ++l) {
     Tensor& wg = layers[l].weight_grad();

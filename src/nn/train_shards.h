@@ -5,7 +5,9 @@
 // (forward_shard/backward_shard) into its own TrainPass — per-layer caches
 // plus per-layer LayerGrad block gradients — and the block partials are then
 // reduced serially, in ascending block index order, into the network's own
-// gradient buffers before one optimizer step.
+// gradient buffers before one Adam step (sharded_adam_step). This is the
+// only training path: the dynamics model, the actor and the critics all
+// train through it.
 //
 // Two invariants make the result independent of both the worker count and
 // the shard schedule:
@@ -80,7 +82,7 @@ struct alignas(64) TrainPass {
   // Per-layer forward caches (index = layer).
   std::vector<Tensor> pre;
   std::vector<Tensor> post;
-  // Per-layer block gradients, reduced via reduce_gradients().
+  // Per-layer block gradients, reduced by sharded_adam_step().
   std::vector<LayerGrad> grads;
   // Backward scratch: the product staged ahead of a non-ReLU activation
   // backward, and the layer-to-layer dL/d(pre-activation) ping-pong pair.
@@ -111,22 +113,13 @@ struct alignas(64) TrainPass {
 /// zeroing: backward_shard writes every block gradient it produces.
 void prepare_pass(const std::vector<DenseLayer>& layers, TrainPass& pass);
 
-/// Adds the per-block accumulators of passes[0..count) onto the layers' own
-/// gradient buffers, in ascending block order (serial; call after every
-/// block has finished, with the layer gradients zeroed beforehand).
-/// Clipping and the optimizer step then consume the layers' buffers exactly
-/// as in the member-cache path.
-void reduce_gradients(const std::vector<TrainPass>& passes, std::size_t count,
-                      std::vector<DenseLayer>& layers);
-
-/// The fused serial tail of one sharded update: zeroes the layers' gradient
-/// buffers, reduces passes[0..count) into them in ascending block order,
-/// computes the global gradient L2 norm, and applies one clipped Adam step.
-/// Bit-identical to zero_grad + reduce_gradients + clip_gradients + step —
-/// per element the add chain, the norm accumulation order (layer by layer,
-/// weights then bias), and the clip-scale arithmetic are unchanged — but it
-/// walks the parameters twice (reduce+norm, then scale+step) instead of
-/// five times, so the serial section between pool barriers shrinks.
+/// The serial tail of one sharded update, in two walks over the parameters:
+///  1. overwrite each layer's gradient buffers with the sum of
+///     passes[0..count) — per element the chain 0 + block_0 + block_1 + ...
+///     in ascending block order — and accumulate the global gradient L2
+///     norm (ascending layer, weights then bias);
+///  2. one Adam step with every gradient scaled by max_norm / norm when the
+///     norm exceeds max_norm (the clip, folded into the step).
 /// Returns the pre-clip norm.
 double sharded_adam_step(const std::vector<TrainPass>& passes,
                          std::size_t count, std::vector<DenseLayer>& layers,

@@ -673,9 +673,10 @@ void DdpgAgent::restore_state(persist::BinaryReader& in) {
     critic2_target_ = nn::read_critic(in);
   }
 
-  actor_optimizer_.restore_state(in);
-  critic_optimizer_.restore_state(in);
-  if (config_.twin_critics) critic2_optimizer_.restore_state(in);
+  actor_optimizer_.restore_state(in, actor_.layers());
+  critic_optimizer_.restore_state(in, critic_.layers());
+  if (config_.twin_critics)
+    critic2_optimizer_.restore_state(in, critic2_.layers());
 
   replay_.restore_state(in);
 

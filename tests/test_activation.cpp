@@ -77,7 +77,7 @@ TEST_P(ActivationGradient, MatchesFiniteDifferences) {
       Tensor::from_rows({{1.0, -2.0, 0.5}, {0.7, 1.3, -0.2}});
 
   auto f = [&](const Tensor& x) {
-    return activate(act, x).hadamard(weights).sum();
+    return weighted_sum(activate(act, x), weights);
   };
   const Tensor post = activate(act, pre);
   const Tensor analytic = activation_backward(act, pre, post, weights);
@@ -99,7 +99,7 @@ TEST(Activation, ReluGradientAwayFromKink) {
   const Tensor pre = Tensor::from_rows({{0.5, -0.5, 2.0, -2.0}});
   const Tensor weights = Tensor::from_rows({{1.0, 1.0, -1.0, 3.0}});
   auto f = [&](const Tensor& x) {
-    return activate(Activation::kRelu, x).hadamard(weights).sum();
+    return weighted_sum(activate(Activation::kRelu, x), weights);
   };
   const Tensor post = activate(Activation::kRelu, pre);
   const Tensor analytic =

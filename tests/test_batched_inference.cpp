@@ -15,6 +15,7 @@
 #include "nn/critic_network.h"
 #include "nn/loss.h"
 #include "nn/network.h"
+#include "nn/train_shards.h"
 #include "nn/workspace.h"
 
 namespace miras {
@@ -108,42 +109,43 @@ TEST(BatchedInference, WorkspaceReuseDoesNotLeakStateAcrossCalls) {
 }
 
 TEST(BatchedInference, ForwardBackwardScratchReuseMatchesFreshNetwork) {
-  // The training path reuses per-layer scratch (cached activations, grad
-  // ping-pong) across steps; a second forward/backward must give exactly
-  // the gradients a never-used clone computes.
+  // The training path reuses a TrainPass (cached activations, grad
+  // ping-pong, block gradients) across steps; a second forward/backward
+  // must give exactly what a never-used pass computes.
   Rng rng(24);
   nn::Network net = make_net(rng, nn::Activation::kTanh);
-  nn::Network clone = net;  // identical parameters, untouched scratch
 
   const nn::Tensor a = random_tensor(8, 5, rng);
   const nn::Tensor b = random_tensor(8, 5, rng);
   const nn::Tensor target = random_tensor(8, 3, rng);
   nn::Tensor grad;
 
-  // Dirty the scratch with an unrelated pass, then train on `b`.
-  net.zero_grad();
-  nn::mse_loss_into(net.forward(a), target, grad);
-  net.backward(grad);
-  net.zero_grad();
-  nn::mse_loss_into(net.forward(b), target, grad);
-  const nn::Tensor& grad_in_reused = net.backward(grad);
+  // Dirty the pass with an unrelated block, then train on `b`.
+  nn::TrainPass reused;
+  nn::prepare_pass(net.layers(), reused);
+  nn::mse_loss_into(net.forward_shard(a, reused), target, grad);
+  (void)net.backward_shard(a, grad, reused);
+  nn::prepare_pass(net.layers(), reused);
+  nn::mse_loss_into(net.forward_shard(b, reused), target, grad);
+  const nn::Tensor& grad_in_reused = net.backward_shard(b, grad, reused);
 
-  clone.zero_grad();
-  nn::Tensor clone_grad;
-  nn::mse_loss_into(clone.forward(b), target, clone_grad);
-  const nn::Tensor& grad_in_fresh = clone.backward(clone_grad);
+  nn::TrainPass fresh;
+  nn::prepare_pass(net.layers(), fresh);
+  nn::Tensor fresh_grad;
+  nn::mse_loss_into(net.forward_shard(b, fresh), target, fresh_grad);
+  const nn::Tensor& grad_in_fresh = net.backward_shard(b, fresh_grad, fresh);
 
   ASSERT_EQ(grad_in_reused.size(), grad_in_fresh.size());
   for (std::size_t i = 0; i < grad_in_fresh.size(); ++i)
     EXPECT_EQ(grad_in_reused.data()[i], grad_in_fresh.data()[i]);
   for (std::size_t l = 0; l < net.num_layers(); ++l) {
-    const nn::Tensor& wg = net.layer(l).weight_grad();
-    const nn::Tensor& wg_fresh = clone.layer(l).weight_grad();
+    const nn::Tensor& wg = reused.grads[l].weight;
+    const nn::Tensor& wg_fresh = fresh.grads[l].weight;
     ASSERT_EQ(wg.size(), wg_fresh.size());
     for (std::size_t i = 0; i < wg.size(); ++i)
       EXPECT_EQ(wg.data()[i], wg_fresh.data()[i]) << "layer " << l;
-    const nn::Tensor& bg = net.layer(l).bias_grad();
-    const nn::Tensor& bg_fresh = clone.layer(l).bias_grad();
+    const nn::Tensor& bg = reused.grads[l].bias;
+    const nn::Tensor& bg_fresh = fresh.grads[l].bias;
     ASSERT_EQ(bg.size(), bg_fresh.size());
     for (std::size_t i = 0; i < bg.size(); ++i)
       EXPECT_EQ(bg.data()[i], bg_fresh.data()[i]) << "layer " << l;

@@ -2,11 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/contracts.h"
 #include "nn/grad_check.h"
 
 namespace miras::nn {
 namespace {
+
+// Forward + backward of one gradient block through the shard path.
+void forward_backward(const CriticNetwork& critic, const Tensor& s,
+                      const Tensor& a, const Tensor& grad_q,
+                      TrainPass& pass) {
+  prepare_pass(critic.layers(), pass);
+  (void)critic.forward_shard(s, a, pass);
+  critic.backward_shard(s, a, grad_q, pass);
+}
 
 CriticSpec small_spec() {
   CriticSpec spec;
@@ -38,7 +49,10 @@ TEST(Critic, PredictMatchesForward) {
   CriticNetwork critic(small_spec(), rng);
   const Tensor s = Tensor::from_rows({{0.1, 0.2, 0.3}});
   const Tensor a = Tensor::from_rows({{0.5, 0.5}});
-  EXPECT_DOUBLE_EQ(critic.forward(s, a)(0, 0), critic.predict(s, a)(0, 0));
+  TrainPass pass;
+  prepare_pass(critic.layers(), pass);
+  EXPECT_DOUBLE_EQ(critic.forward_shard(s, a, pass)(0, 0),
+                   critic.predict(s, a)(0, 0));
 }
 
 TEST(Critic, PredictOneMatchesBatch) {
@@ -59,21 +73,41 @@ TEST(Critic, ActionActuallyAffectsOutput) {
   EXPECT_NE(q1, q2);
 }
 
-TEST(Critic, StateGradientMatchesFiniteDifference) {
+TEST(Critic, ParameterGradientsMatchFiniteDifference) {
+  // Every parameter, including layer 0's, whose gradient reaches it through
+  // the h1 half of the joint layer's input.
   Rng rng(6);
   CriticNetwork critic(small_spec(), rng);
   const Tensor s = Tensor::from_rows({{0.2, -0.3, 0.7}, {0.9, 0.1, -0.5}});
   const Tensor a = Tensor::from_rows({{0.6, 0.4}, {0.2, 0.8}});
   const Tensor grad_q = Tensor::from_rows({{1.0}, {-0.5}});
 
-  auto f = [&](const Tensor& states) {
-    return critic.predict(states, a).hadamard(grad_q).sum();
-  };
-  critic.zero_grad();
-  (void)critic.forward(s, a);
-  const auto [grad_s, grad_a] = critic.backward(grad_q);
-  (void)grad_a;
-  EXPECT_LT(max_gradient_error(f, s, grad_s), 1e-5);
+  TrainPass pass;
+  forward_backward(critic, s, a, grad_q, pass);
+  std::vector<double> analytic;
+  for (const LayerGrad& grad : pass.grads) {
+    analytic.insert(analytic.end(), grad.weight.data(),
+                    grad.weight.data() + grad.weight.size());
+    analytic.insert(analytic.end(), grad.bias.data(),
+                    grad.bias.data() + grad.bias.size());
+  }
+  const std::vector<double> flat = critic.get_parameters();
+  ASSERT_EQ(analytic.size(), flat.size());
+
+  const double eps = 1e-6;
+  for (std::size_t idx = 0; idx < flat.size(); ++idx) {
+    CriticNetwork probe = critic;
+    std::vector<double> perturbed = flat;
+    perturbed[idx] += eps;
+    probe.set_parameters(perturbed);
+    const double plus = weighted_sum(probe.predict(s, a), grad_q);
+    perturbed[idx] -= 2 * eps;
+    probe.set_parameters(perturbed);
+    const double minus = weighted_sum(probe.predict(s, a), grad_q);
+    const double numeric = (plus - minus) / (2 * eps);
+    EXPECT_NEAR(analytic[idx], numeric, 1e-6 + 1e-5 * std::abs(numeric))
+        << "parameter " << idx;
+  }
 }
 
 TEST(Critic, ActionGradientMatchesFiniteDifference) {
@@ -86,13 +120,11 @@ TEST(Critic, ActionGradientMatchesFiniteDifference) {
   const Tensor grad_q = Tensor::from_rows({{1.0}, {1.0}});
 
   auto f = [&](const Tensor& actions) {
-    return critic.predict(s, actions).hadamard(grad_q).sum();
+    return weighted_sum(critic.predict(s, actions), grad_q);
   };
-  critic.zero_grad();
-  (void)critic.forward(s, a);
-  const auto [grad_s, grad_a] = critic.backward(grad_q);
-  (void)grad_s;
-  EXPECT_LT(max_gradient_error(f, a, grad_a), 1e-5);
+  TrainPass pass;
+  forward_backward(critic, s, a, grad_q, pass);
+  EXPECT_LT(max_gradient_error(f, a, pass.grad_actions), 1e-5);
 }
 
 TEST(Critic, ParameterRoundTrip) {

@@ -338,19 +338,6 @@ TEST_P(KernelSeam, GemmTnMatchesNaiveBitwise) {
   });
 }
 
-TEST_P(KernelSeam, GemmTnAccumulateChainsFromStoredValues) {
-  Rng rng(24);
-  for_each_shape([&](std::size_t m, std::size_t k, std::size_t n) {
-    const auto a = signed_zero_matrix(k, m, rng);
-    const auto b = signed_zero_matrix(k, n, rng);
-    auto c = signed_zero_matrix(m, n, rng);
-    const auto want = naive_tn(a, b, c, m, k, n);
-    kern::gemm_tn(GetParam(), a.data(), b.data(), c.data(), m, k, n,
-                  /*accumulate=*/true);
-    expect_bits(c, want);
-  });
-}
-
 TEST_P(KernelSeam, GemmNtMatchesNaiveBitwise) {
   Rng rng(25);
   for_each_shape([&](std::size_t m, std::size_t k, std::size_t n) {

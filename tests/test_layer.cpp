@@ -8,31 +8,60 @@
 namespace miras::nn {
 namespace {
 
+Tensor forward(const DenseLayer& layer, const Tensor& x) {
+  Tensor out;
+  layer.forward_into(x, out);
+  return out;
+}
+
+// One layer's training pass through the shard API: forward_shard, then
+// dL/d(pre) from dL/d(output), the parameter gradients and dL/dx.
+struct LayerPass {
+  Tensor pre, post, scratch, grad_input;
+  LayerGrad grad;
+};
+
+void forward_backward(const DenseLayer& layer, const Tensor& x,
+                      const Tensor& grad_output, LayerPass& pass) {
+  layer.forward_shard(x, pass.pre, pass.post);
+  const Tensor& grad_pre =
+      layer.output_grad_pre(pass.pre, pass.post, grad_output, pass.scratch);
+  layer.param_grad_shard(x, grad_pre, pass.grad);
+  layer.input_grad_shard(grad_pre, 0, layer.in_dim(), pass.grad_input);
+}
+
+double sum_of_squares(const Tensor& t) {
+  double acc = 0.0;
+  for (std::size_t i = 0; i < t.size(); ++i) acc += t.data()[i] * t.data()[i];
+  return acc;
+}
+
 TEST(DenseLayer, ForwardKnownValues) {
   Rng rng(1);
   DenseLayer layer(2, 2, Activation::kIdentity, rng);
   layer.weights() = Tensor::from_rows({{1.0, 2.0}, {3.0, 4.0}});
   layer.bias() = Tensor::row_vector({0.5, -0.5});
-  const Tensor out = layer.forward(Tensor::from_rows({{1.0, 1.0}}));
+  const Tensor out = forward(layer, Tensor::from_rows({{1.0, 1.0}}));
   EXPECT_DOUBLE_EQ(out(0, 0), 4.5);   // 1*1 + 1*3 + 0.5
   EXPECT_DOUBLE_EQ(out(0, 1), 5.5);   // 1*2 + 1*4 - 0.5
 }
 
-TEST(DenseLayer, ForwardConstMatchesForward) {
+TEST(DenseLayer, ForwardIntoMatchesForwardShard) {
   Rng rng(2);
   DenseLayer layer(3, 4, Activation::kTanh, rng);
   const Tensor x = Tensor::from_rows({{0.1, -0.2, 0.3}, {1.0, 2.0, -1.0}});
-  const Tensor a = layer.forward(x);
-  const Tensor b = layer.forward_const(x);
-  for (std::size_t r = 0; r < a.rows(); ++r)
-    for (std::size_t c = 0; c < a.cols(); ++c)
-      EXPECT_DOUBLE_EQ(a(r, c), b(r, c));
+  Tensor pre, post;
+  layer.forward_shard(x, pre, post);
+  const Tensor b = forward(layer, x);
+  for (std::size_t r = 0; r < post.rows(); ++r)
+    for (std::size_t c = 0; c < post.cols(); ++c)
+      EXPECT_DOUBLE_EQ(post(r, c), b(r, c));
 }
 
 TEST(DenseLayer, InputDimChecked) {
   Rng rng(3);
   DenseLayer layer(3, 2, Activation::kRelu, rng);
-  EXPECT_THROW(layer.forward(Tensor(1, 4)), ContractViolation);
+  EXPECT_THROW(forward(layer, Tensor(1, 4)), ContractViolation);
 }
 
 TEST(DenseLayer, InputGradientMatchesFiniteDifference) {
@@ -42,12 +71,11 @@ TEST(DenseLayer, InputGradientMatchesFiniteDifference) {
   const Tensor weights = Tensor::from_rows({{1.0, -1.0}, {0.5, 2.0}});
 
   auto f = [&](const Tensor& input) {
-    return layer.forward_const(input).hadamard(weights).sum();
+    return weighted_sum(forward(layer, input), weights);
   };
-  layer.zero_grad();
-  (void)layer.forward(x);
-  const Tensor grad_input = layer.backward(weights);
-  EXPECT_LT(max_gradient_error(f, x, grad_input), 1e-5);
+  LayerPass pass;
+  forward_backward(layer, x, weights, pass);
+  EXPECT_LT(max_gradient_error(f, x, pass.grad_input), 1e-5);
 }
 
 TEST(DenseLayer, WeightGradientMatchesFiniteDifference) {
@@ -57,19 +85,14 @@ TEST(DenseLayer, WeightGradientMatchesFiniteDifference) {
   const Tensor out_weights =
       Tensor::from_rows({{1.0, 0.5, -1.0}, {-0.5, 2.0, 1.0}});
 
-  layer.zero_grad();
-  (void)layer.forward(x);
-  (void)layer.backward(out_weights);
-  const Tensor analytic = layer.weight_grad();
+  LayerPass pass;
+  forward_backward(layer, x, out_weights, pass);
 
   auto f = [&](const Tensor& w) {
-    DenseLayer probe(layer.weights().rows(), layer.weights().cols(),
-                     layer.activation(), rng);
-    probe.weights() = w;
-    probe.bias() = layer.bias();
-    return probe.forward_const(x).hadamard(out_weights).sum();
+    const DenseLayer probe(w, layer.bias(), layer.activation());
+    return weighted_sum(forward(probe, x), out_weights);
   };
-  EXPECT_LT(max_gradient_error(f, layer.weights(), analytic), 1e-5);
+  EXPECT_LT(max_gradient_error(f, layer.weights(), pass.grad.weight), 1e-5);
 }
 
 TEST(DenseLayer, BiasGradientMatchesFiniteDifference) {
@@ -78,61 +101,44 @@ TEST(DenseLayer, BiasGradientMatchesFiniteDifference) {
   const Tensor x = Tensor::from_rows({{0.3, 0.8}, {-0.6, 0.1}});
   const Tensor out_weights = Tensor::from_rows({{2.0, -1.0}, {1.0, 1.0}});
 
-  layer.zero_grad();
-  (void)layer.forward(x);
-  (void)layer.backward(out_weights);
-  const Tensor analytic = layer.bias_grad();
+  LayerPass pass;
+  forward_backward(layer, x, out_weights, pass);
 
   auto f = [&](const Tensor& b) {
-    DenseLayer probe(layer.weights().rows(), layer.weights().cols(),
-                     layer.activation(), rng);
-    probe.weights() = layer.weights();
-    probe.bias() = b;
-    return probe.forward_const(x).hadamard(out_weights).sum();
+    const DenseLayer probe(layer.weights(), b, layer.activation());
+    return weighted_sum(forward(probe, x), out_weights);
   };
-  EXPECT_LT(max_gradient_error(f, layer.bias(), analytic), 1e-5);
+  EXPECT_LT(max_gradient_error(f, layer.bias(), pass.grad.bias), 1e-5);
 }
 
-TEST(DenseLayer, GradientsAccumulateAcrossBackwardCalls) {
+TEST(DenseLayer, ParamGradShardOverwritesPreviousBlock) {
+  // Block gradients are written, never accumulated: a pass reused for a
+  // second block holds exactly what a fresh pass computes for it.
   Rng rng(7);
   DenseLayer layer(2, 2, Activation::kIdentity, rng);
-  const Tensor x = Tensor::from_rows({{1.0, 2.0}});
   const Tensor g = Tensor::from_rows({{1.0, 1.0}});
-  layer.zero_grad();
-  (void)layer.forward(x);
-  (void)layer.backward(g);
-  const Tensor after_one = layer.weight_grad();
-  (void)layer.forward(x);
-  (void)layer.backward(g);
-  for (std::size_t r = 0; r < after_one.rows(); ++r)
-    for (std::size_t c = 0; c < after_one.cols(); ++c)
-      EXPECT_DOUBLE_EQ(layer.weight_grad()(r, c), 2.0 * after_one(r, c));
-}
-
-TEST(DenseLayer, ZeroGradResets) {
-  Rng rng(8);
-  DenseLayer layer(2, 2, Activation::kIdentity, rng);
-  (void)layer.forward(Tensor::from_rows({{1.0, 1.0}}));
-  (void)layer.backward(Tensor::from_rows({{1.0, 1.0}}));
-  layer.zero_grad();
-  EXPECT_DOUBLE_EQ(layer.weight_grad().norm(), 0.0);
-  EXPECT_DOUBLE_EQ(layer.bias_grad().norm(), 0.0);
+  LayerPass reused, fresh;
+  forward_backward(layer, Tensor::from_rows({{5.0, -3.0}}), g, reused);
+  forward_backward(layer, Tensor::from_rows({{1.0, 2.0}}), g, reused);
+  forward_backward(layer, Tensor::from_rows({{1.0, 2.0}}), g, fresh);
+  for (std::size_t i = 0; i < fresh.grad.weight.size(); ++i)
+    EXPECT_EQ(reused.grad.weight.data()[i], fresh.grad.weight.data()[i]);
+  for (std::size_t i = 0; i < fresh.grad.bias.size(); ++i)
+    EXPECT_EQ(reused.grad.bias.data()[i], fresh.grad.bias.data()[i]);
 }
 
 TEST(DenseLayer, HeInitialisationScale) {
   Rng rng(9);
   DenseLayer layer(1000, 50, Activation::kRelu, rng);
-  double sum_sq = 0.0;
   const Tensor& w = layer.weights();
-  for (std::size_t i = 0; i < w.size(); ++i) sum_sq += w.data()[i] * w.data()[i];
-  const double variance = sum_sq / static_cast<double>(w.size());
+  const double variance = sum_of_squares(w) / static_cast<double>(w.size());
   EXPECT_NEAR(variance, 2.0 / 1000.0, 2.0 / 1000.0 * 0.15);
 }
 
 TEST(DenseLayer, BiasStartsAtZero) {
   Rng rng(10);
   DenseLayer layer(4, 4, Activation::kRelu, rng);
-  EXPECT_DOUBLE_EQ(layer.bias().norm(), 0.0);
+  EXPECT_DOUBLE_EQ(sum_of_squares(layer.bias()), 0.0);
 }
 
 TEST(DenseLayer, ParameterCount) {
@@ -146,7 +152,7 @@ TEST(DenseLayer, ExplicitParameterConstructor) {
                    Tensor::row_vector({3.0}), Activation::kIdentity);
   EXPECT_EQ(layer.in_dim(), 2u);
   EXPECT_EQ(layer.out_dim(), 1u);
-  const Tensor out = layer.forward_const(Tensor::from_rows({{1.0, 1.0}}));
+  const Tensor out = forward(layer, Tensor::from_rows({{1.0, 1.0}}));
   EXPECT_DOUBLE_EQ(out(0, 0), 6.0);
 }
 

@@ -12,7 +12,8 @@ TEST(MseLoss, ZeroWhenEqual) {
   const Tensor p = Tensor::from_rows({{1.0, 2.0}});
   const LossResult result = mse_loss(p, p);
   EXPECT_DOUBLE_EQ(result.value, 0.0);
-  EXPECT_DOUBLE_EQ(result.grad.norm(), 0.0);
+  for (std::size_t i = 0; i < result.grad.size(); ++i)
+    EXPECT_DOUBLE_EQ(result.grad.data()[i], 0.0);
 }
 
 TEST(MseLoss, KnownValue) {

@@ -1,29 +1,52 @@
 // End-to-end supervised learning checks: the stack (tensor + layers +
-// losses + optimisers) must actually learn nontrivial functions.
+// losses + the sharded training path + Adam) must actually learn
+// nontrivial functions.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "common/rng.h"
 #include "nn/loss.h"
 #include "nn/network.h"
 #include "nn/optimizer.h"
+#include "nn/train_shards.h"
 
 namespace miras::nn {
 namespace {
 
+// One full-batch training step through the shard path, unclipped: each
+// kRowsPerBlock-row block runs forward_shard / backward_shard with the
+// whole batch's MSE scale, then sharded_update reduces the blocks and
+// applies one Adam step. Returns the loss before the step.
+double train_step(Network& net, const Tensor& x, const Tensor& y,
+                  std::vector<TrainPass>& passes, AdamOptimizer& opt) {
+  const std::size_t blocks = num_row_blocks(x.rows());
+  if (passes.size() < blocks) passes.resize(blocks);
+  double loss = 0.0;
+  for (std::size_t m = 0; m < blocks; ++m) {
+    TrainPass& pass = passes[m];
+    const RowRange rows = row_block(x.rows(), m);
+    prepare_pass(net.layers(), pass);
+    copy_rows(x, rows, pass.in);
+    copy_rows(y, rows, pass.target);
+    loss += mse_loss_partial_into(net.forward_shard(pass.in, pass),
+                                  pass.target, y.size(), pass.loss_grad);
+    (void)net.backward_shard(pass.in, pass.loss_grad, pass);
+  }
+  net.sharded_update(passes, blocks, std::numeric_limits<double>::infinity(),
+                     opt);
+  return loss;
+}
+
 double train_regression(Network& net, const Tensor& x, const Tensor& y,
                         std::size_t epochs, double lr) {
   AdamOptimizer opt(lr);
+  std::vector<TrainPass> passes;
   double loss_value = 0.0;
-  for (std::size_t e = 0; e < epochs; ++e) {
-    net.zero_grad();
-    const Tensor pred = net.forward(x);
-    const LossResult loss = mse_loss(pred, y);
-    net.backward(loss.grad);
-    opt.step(net.layers());
-    loss_value = loss.value;
-  }
+  for (std::size_t e = 0; e < epochs; ++e)
+    loss_value = train_step(net, x, y, passes, opt);
   return loss_value;
 }
 
@@ -137,14 +160,12 @@ TEST(Training, BatchCompositionInvariance) {
   const Tensor x2 = Tensor::from_rows({{-1.0, 0.5}, {1.0, 2.0}});
   const Tensor y2 = Tensor::from_rows({{0.0}, {1.0}});
 
-  SgdOptimizer opt_a(0.1), opt_b(0.1);
-  net_a.zero_grad();
-  net_a.backward(mse_loss(net_a.forward(x1), y1).grad);
-  opt_a.step(net_a.layers());
-
-  net_b.zero_grad();
-  net_b.backward(mse_loss(net_b.forward(x2), y2).grad);
-  opt_b.step(net_b.layers());
+  // A large epsilon keeps the first Adam step proportional to the gradient
+  // instead of to its sign.
+  AdamOptimizer opt_a(0.1, 0.9, 0.999, 1.0), opt_b(0.1, 0.9, 0.999, 1.0);
+  std::vector<TrainPass> passes_a, passes_b;
+  (void)train_step(net_a, x1, y1, passes_a, opt_a);
+  (void)train_step(net_b, x2, y2, passes_b, opt_b);
 
   const auto pa = net_a.get_parameters();
   const auto pb = net_b.get_parameters();

@@ -1,10 +1,14 @@
 // Deterministic data-parallel training (train_shards.h, DESIGN.md §5d):
 // the sharded gradient-block path must produce bit-identical weights for
 // every thread count and shard schedule, and the sharded backward must
-// agree with the serial member-cache backward and with finite differences.
+// agree with a naive ascending-index reference and with finite
+// differences.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -17,6 +21,7 @@
 #include "nn/grad_check.h"
 #include "nn/loss.h"
 #include "nn/network.h"
+#include "nn/optimizer.h"
 #include "nn/train_shards.h"
 #include "rl/ddpg.h"
 
@@ -138,37 +143,188 @@ TEST(ParallelTraining, DdpgUpdateBitIdenticalAcrossThreadsAndShards) {
   EXPECT_EQ(run(&pool2, 0), base);
 }
 
-// Runs the sharded forward/backward over `x`/`target` and reduces into the
-// network's gradient buffers; returns the assembled dL/dx.
-nn::Tensor sharded_network_backward(nn::Network& net, const nn::Tensor& x,
-                                    const nn::Tensor& target) {
-  const std::size_t blocks = nn::num_row_blocks(x.rows());
-  std::vector<nn::TrainPass> passes(blocks);
-  nn::Tensor grad_input(x.rows(), x.cols());
-  net.zero_grad();
-  for (std::size_t m = 0; m < blocks; ++m) {
-    const nn::RowRange rows = nn::row_block(x.rows(), m);
-    nn::TrainPass& pass = passes[m];
-    nn::prepare_pass(net.layers(), pass);
-    nn::copy_rows(x, rows, pass.in);
-    nn::copy_rows(target, rows, pass.target);
-    const nn::Tensor& prediction = net.forward_shard(pass.in, pass);
-    pass.loss = nn::mse_loss_partial_into(prediction, pass.target,
-                                          x.rows() * target.cols(),
-                                          pass.loss_grad);
-    const nn::Tensor& block_grad =
-        net.backward_shard(pass.in, pass.loss_grad, pass);
-    nn::paste_rows(block_grad, rows, grad_input);
-  }
-  nn::reduce_gradients(passes, blocks, net.layers());
-  return grad_input;
+// --- Naive reference: one loop per product, each output element one chain
+// over the ascending reduction index starting from +0.0 (the kernel
+// contract, nn/kernels.h), with the library's activations. It shares no
+// code with the kernels, so it is an independent oracle for them.
+
+// pre = x·W + b, post = act(pre).
+void naive_forward(const nn::DenseLayer& layer, const nn::Tensor& x,
+                   nn::Tensor& pre, nn::Tensor& post) {
+  pre = nn::Tensor(x.rows(), layer.out_dim());
+  for (std::size_t r = 0; r < x.rows(); ++r)
+    for (std::size_t j = 0; j < layer.out_dim(); ++j) {
+      double acc = 0.0;
+      for (std::size_t p = 0; p < layer.in_dim(); ++p)
+        acc = acc + x(r, p) * layer.weights()(p, j);
+      pre(r, j) = acc + layer.bias()(0, j);
+    }
+  post = nn::activate(layer.activation(), pre);
 }
 
-// A single-block batch (B = kRowsPerBlock) must reproduce the serial
-// member-cache backward exactly; a multi-block batch regroups the same row
-// contributions, so its parameter gradients agree to rounding. The
-// assembled dL/dx is per-row and therefore always exact — and it must also
-// agree with finite differences.
+// Given the layer input x and dL/d(pre) g: dW = xᵀ·g, db = the column sums
+// of g, dX = g·Wᵀ.
+struct NaiveGrads {
+  nn::Tensor weight, bias, input;
+};
+
+NaiveGrads naive_backward(const nn::DenseLayer& layer, const nn::Tensor& x,
+                          const nn::Tensor& g) {
+  NaiveGrads out{nn::Tensor(layer.in_dim(), layer.out_dim()),
+                 nn::Tensor(1, layer.out_dim()),
+                 nn::Tensor(x.rows(), layer.in_dim())};
+  for (std::size_t i = 0; i < layer.in_dim(); ++i)
+    for (std::size_t j = 0; j < layer.out_dim(); ++j) {
+      double acc = 0.0;
+      for (std::size_t r = 0; r < x.rows(); ++r) acc = acc + x(r, i) * g(r, j);
+      out.weight(i, j) = acc;
+    }
+  for (std::size_t j = 0; j < layer.out_dim(); ++j) {
+    double acc = 0.0;
+    for (std::size_t r = 0; r < x.rows(); ++r) acc = acc + g(r, j);
+    out.bias(0, j) = acc;
+  }
+  for (std::size_t r = 0; r < x.rows(); ++r)
+    for (std::size_t i = 0; i < layer.in_dim(); ++i) {
+      double acc = 0.0;
+      for (std::size_t j = 0; j < layer.out_dim(); ++j)
+        acc = acc + g(r, j) * layer.weights()(i, j);
+      out.input(r, i) = acc;
+    }
+  return out;
+}
+
+// Columns [begin, end) of t.
+nn::Tensor columns(const nn::Tensor& t, std::size_t begin, std::size_t end) {
+  nn::Tensor out(t.rows(), end - begin);
+  for (std::size_t r = 0; r < t.rows(); ++r)
+    for (std::size_t c = begin; c < end; ++c) out(r, c - begin) = t(r, c);
+  return out;
+}
+
+// Reference gradients of a whole batch: per layer dW and db, plus the input
+// gradient the sharded path produces (dL/dx for a network, dQ/da for a
+// critic).
+struct ReferenceGrads {
+  std::vector<nn::Tensor> weight, bias;
+  nn::Tensor input;
+};
+
+// Backpropagates dL/d(output of layers[top]) down to the input of
+// layers[bottom], given every layer's input and pre/post caches; fills
+// ref.weight/bias and returns dL/d(input of layers[bottom]).
+nn::Tensor naive_backprop(const std::vector<nn::DenseLayer>& layers,
+                          std::size_t bottom,
+                          const std::vector<nn::Tensor>& inputs,
+                          const std::vector<nn::Tensor>& pre,
+                          const std::vector<nn::Tensor>& post,
+                          const nn::Tensor& grad_output,
+                          ReferenceGrads& ref) {
+  const std::size_t top = layers.size() - 1;
+  nn::Tensor g = nn::activation_backward(layers[top].activation(), pre[top],
+                                         post[top], grad_output);
+  for (std::size_t l = top;; --l) {
+    NaiveGrads grads = naive_backward(layers[l], inputs[l], g);
+    ref.weight[l] = std::move(grads.weight);
+    ref.bias[l] = std::move(grads.bias);
+    if (l == bottom) return std::move(grads.input);
+    g = nn::activation_backward(layers[l - 1].activation(), pre[l - 1],
+                                post[l - 1], grads.input);
+  }
+}
+
+ReferenceGrads naive_network_grads(const nn::Network& net, const nn::Tensor& x,
+                                   const nn::Tensor& target) {
+  const std::size_t n = net.num_layers();
+  std::vector<nn::Tensor> inputs(n), pre(n), post(n);
+  for (std::size_t l = 0; l < n; ++l) {
+    inputs[l] = l == 0 ? x : post[l - 1];
+    naive_forward(net.layer(l), inputs[l], pre[l], post[l]);
+  }
+  nn::Tensor loss_grad;
+  nn::mse_loss_into(post.back(), target, loss_grad);
+  ReferenceGrads ref{std::vector<nn::Tensor>(n), std::vector<nn::Tensor>(n),
+                     nn::Tensor()};
+  ref.input =
+      naive_backprop(net.layers(), 0, inputs, pre, post, loss_grad, ref);
+  return ref;
+}
+
+ReferenceGrads naive_critic_grads(const nn::CriticNetwork& critic,
+                                  const nn::Tensor& states,
+                                  const nn::Tensor& actions,
+                                  const nn::Tensor& target) {
+  const std::vector<nn::DenseLayer>& layers = critic.layers();
+  const std::size_t n = layers.size();
+  const std::size_t h1 = layers[0].out_dim();
+  std::vector<nn::Tensor> inputs(n), pre(n), post(n);
+  inputs[0] = states;
+  naive_forward(layers[0], states, pre[0], post[0]);
+  inputs[1] = nn::Tensor(states.rows(), h1 + critic.action_dim());
+  for (std::size_t r = 0; r < states.rows(); ++r) {
+    for (std::size_t c = 0; c < h1; ++c) inputs[1](r, c) = post[0](r, c);
+    for (std::size_t c = 0; c < critic.action_dim(); ++c)
+      inputs[1](r, h1 + c) = actions(r, c);
+  }
+  for (std::size_t l = 1; l < n; ++l) {
+    if (l > 1) inputs[l] = post[l - 1];
+    naive_forward(layers[l], inputs[l], pre[l], post[l]);
+  }
+  nn::Tensor loss_grad;
+  nn::mse_loss_into(post.back(), target, loss_grad);
+  ReferenceGrads ref{std::vector<nn::Tensor>(n), std::vector<nn::Tensor>(n),
+                     nn::Tensor()};
+  // Down to the joint layer's [h1 || a] input, then split its columns.
+  const nn::Tensor grad_concat =
+      naive_backprop(layers, 1, inputs, pre, post, loss_grad, ref);
+  ref.input = columns(grad_concat, h1, h1 + critic.action_dim());
+  const nn::Tensor grad_h1 = nn::activation_backward(
+      layers[0].activation(), pre[0], post[0], columns(grad_concat, 0, h1));
+  NaiveGrads grads0 = naive_backward(layers[0], states, grad_h1);
+  ref.weight[0] = std::move(grads0.weight);
+  ref.bias[0] = std::move(grads0.bias);
+  return ref;
+}
+
+// The reduced gradients of the blocks in passes[0..blocks), read back from
+// the gradient buffers of a copy that took the sharded update.
+template <typename Net>
+std::pair<std::vector<nn::Tensor>, std::vector<nn::Tensor>> reduced_grads(
+    const Net& net, const std::vector<nn::TrainPass>& passes,
+    std::size_t blocks) {
+  Net stepped = net;
+  nn::AdamOptimizer adam(1e-3);
+  stepped.sharded_update(passes, blocks,
+                         std::numeric_limits<double>::infinity(), adam);
+  std::vector<nn::Tensor> weight, bias;
+  for (const nn::DenseLayer& layer : stepped.layers()) {
+    weight.push_back(layer.weight_grad());
+    bias.push_back(layer.bias_grad());
+  }
+  return {std::move(weight), std::move(bias)};
+}
+
+// Exact for a single block, which runs the reference's chain; a
+// multi-block batch regroups the same row contributions into
+// 0 + block_0 + block_1 + ..., so it agrees to rounding.
+void expect_matches_reference(const nn::Tensor& got, const nn::Tensor& want,
+                              bool exact) {
+  ASSERT_TRUE(got.same_shape(want));
+  for (std::size_t i = 0; i < got.rows(); ++i)
+    for (std::size_t j = 0; j < got.cols(); ++j) {
+      if (exact) {
+        EXPECT_EQ(got(i, j), want(i, j));
+      } else {
+        EXPECT_NEAR(got(i, j), want(i, j),
+                    1e-12 * std::max(1.0, std::abs(want(i, j))));
+      }
+    }
+}
+
+// A single-block batch (B = kRowsPerBlock) must reproduce the naive
+// reference bit for bit; a multi-block batch agrees to rounding in the
+// parameter gradients. The assembled dL/dx is per-row and therefore always
+// exact — and it must also agree with finite differences.
 TEST(ParallelTraining, ShardedNetworkBackwardMatchesSerial) {
   nn::MlpSpec spec;
   spec.input_dim = 5;
@@ -183,58 +339,46 @@ TEST(ParallelTraining, ShardedNetworkBackwardMatchesSerial) {
     SCOPED_TRACE("batch=" + std::to_string(batch));
     const nn::Tensor x = random_tensor(batch, spec.input_dim, rng);
     const nn::Tensor target = random_tensor(batch, spec.output_dim, rng);
+    const ReferenceGrads ref = naive_network_grads(net, x, target);
 
-    net.zero_grad();
-    nn::Tensor serial_loss_grad;
-    nn::mse_loss_into(net.forward(x), target, serial_loss_grad);
-    const nn::Tensor serial_grad_input = net.backward(serial_loss_grad);
-    std::vector<nn::Tensor> serial_wg, serial_bg;
-    for (const nn::DenseLayer& layer : net.layers()) {
-      serial_wg.push_back(layer.weight_grad());
-      serial_bg.push_back(layer.bias_grad());
+    const std::size_t blocks = nn::num_row_blocks(batch);
+    std::vector<nn::TrainPass> passes(blocks);
+    nn::Tensor grad_input(batch, spec.input_dim);
+    for (std::size_t m = 0; m < blocks; ++m) {
+      const nn::RowRange rows = nn::row_block(batch, m);
+      nn::TrainPass& pass = passes[m];
+      nn::prepare_pass(net.layers(), pass);
+      nn::copy_rows(x, rows, pass.in);
+      nn::copy_rows(target, rows, pass.target);
+      const nn::Tensor& prediction = net.forward_shard(pass.in, pass);
+      pass.loss = nn::mse_loss_partial_into(prediction, pass.target,
+                                            batch * spec.output_dim,
+                                            pass.loss_grad);
+      nn::paste_rows(net.backward_shard(pass.in, pass.loss_grad, pass), rows,
+                     grad_input);
     }
+    const auto [weight, bias] = reduced_grads(net, passes, blocks);
 
-    const nn::Tensor sharded_grad_input =
-        sharded_network_backward(net, x, target);
-
+    const bool exact = blocks == 1;
     for (std::size_t l = 0; l < net.num_layers(); ++l) {
       SCOPED_TRACE("layer=" + std::to_string(l));
-      const nn::Tensor& wg = net.layer(l).weight_grad();
-      const nn::Tensor& bg = net.layer(l).bias_grad();
-      for (std::size_t i = 0; i < wg.rows(); ++i)
-        for (std::size_t j = 0; j < wg.cols(); ++j) {
-          if (batch == nn::kRowsPerBlock) {
-            EXPECT_EQ(wg(i, j), serial_wg[l](i, j));
-          } else {
-            EXPECT_NEAR(wg(i, j), serial_wg[l](i, j),
-                        1e-12 * std::max(1.0, std::abs(serial_wg[l](i, j))));
-          }
-        }
-      for (std::size_t j = 0; j < bg.cols(); ++j) {
-        if (batch == nn::kRowsPerBlock) {
-          EXPECT_EQ(bg(0, j), serial_bg[l](0, j));
-        } else {
-          EXPECT_NEAR(bg(0, j), serial_bg[l](0, j),
-                      1e-12 * std::max(1.0, std::abs(serial_bg[l](0, j))));
-        }
-      }
+      expect_matches_reference(weight[l], ref.weight[l], exact);
+      expect_matches_reference(bias[l], ref.bias[l], exact);
     }
     // dL/dx never crosses block boundaries: exact either way.
-    for (std::size_t i = 0; i < x.rows(); ++i)
-      for (std::size_t j = 0; j < x.cols(); ++j)
-        EXPECT_EQ(sharded_grad_input(i, j), serial_grad_input(i, j));
+    expect_matches_reference(grad_input, ref.input, true);
 
     const auto f = [&](const nn::Tensor& xx) {
       return nn::mse_loss(net.predict(xx), target).value;
     };
     // The mean-loss scale (1 / (B * out_dim)) shrinks the true gradients,
     // so finite-difference roundoff needs the looser relative bound.
-    EXPECT_LT(nn::max_gradient_error(f, x, sharded_grad_input, 1e-5), 1e-4);
+    EXPECT_LT(nn::max_gradient_error(f, x, grad_input, 1e-5), 1e-4);
   }
 }
 
-// Same contract for the critic: sharded backward must reproduce the serial
-// member-cache parameter gradients and dQ/da (the policy-gradient signal).
+// Same contract for the critic: the sharded backward must reproduce the
+// reference parameter gradients and dQ/da (the policy-gradient signal).
 TEST(ParallelTraining, ShardedCriticBackwardMatchesSerial) {
   nn::CriticSpec spec;
   spec.state_dim = 5;
@@ -248,22 +392,12 @@ TEST(ParallelTraining, ShardedCriticBackwardMatchesSerial) {
     const nn::Tensor states = random_tensor(batch, spec.state_dim, rng);
     const nn::Tensor actions = random_tensor(batch, spec.action_dim, rng);
     const nn::Tensor target = random_tensor(batch, 1, rng);
-
-    critic.zero_grad();
-    nn::Tensor serial_loss_grad;
-    nn::mse_loss_into(critic.forward(states, actions), target,
-                      serial_loss_grad);
-    nn::Tensor serial_grad_states, serial_grad_actions;
-    critic.backward_into(serial_loss_grad, serial_grad_states,
-                         serial_grad_actions);
-    std::vector<nn::Tensor> serial_wg;
-    for (const nn::DenseLayer& layer : critic.layers())
-      serial_wg.push_back(layer.weight_grad());
+    const ReferenceGrads ref =
+        naive_critic_grads(critic, states, actions, target);
 
     const std::size_t blocks = nn::num_row_blocks(batch);
     std::vector<nn::TrainPass> passes(blocks);
     nn::Tensor grad_actions(batch, spec.action_dim);
-    critic.zero_grad();
     for (std::size_t m = 0; m < blocks; ++m) {
       const nn::RowRange rows = nn::row_block(batch, m);
       nn::TrainPass& pass = passes[m];
@@ -277,26 +411,17 @@ TEST(ParallelTraining, ShardedCriticBackwardMatchesSerial) {
       critic.backward_shard(pass.in, pass.actions, pass.loss_grad, pass);
       nn::paste_rows(pass.grad_actions, rows, grad_actions);
     }
-    nn::reduce_gradients(passes, blocks, critic.layers());
+    const auto [weight, bias] = reduced_grads(critic, passes, blocks);
 
+    const bool exact = blocks == 1;
     for (std::size_t l = 0; l < critic.layers().size(); ++l) {
       SCOPED_TRACE("layer=" + std::to_string(l));
-      const nn::Tensor& wg = critic.layers()[l].weight_grad();
-      for (std::size_t i = 0; i < wg.rows(); ++i)
-        for (std::size_t j = 0; j < wg.cols(); ++j) {
-          if (batch == nn::kRowsPerBlock) {
-            EXPECT_EQ(wg(i, j), serial_wg[l](i, j));
-          } else {
-            EXPECT_NEAR(wg(i, j), serial_wg[l](i, j),
-                        1e-12 * std::max(1.0, std::abs(serial_wg[l](i, j))));
-          }
-        }
+      expect_matches_reference(weight[l], ref.weight[l], exact);
+      expect_matches_reference(bias[l], ref.bias[l], exact);
     }
     // dQ/da is per-row: exact at every batch size, and it must agree with
     // finite differences through the inference path.
-    for (std::size_t i = 0; i < batch; ++i)
-      for (std::size_t j = 0; j < spec.action_dim; ++j)
-        EXPECT_EQ(grad_actions(i, j), serial_grad_actions(i, j));
+    expect_matches_reference(grad_actions, ref.input, true);
 
     const auto f = [&](const nn::Tensor& a) {
       return nn::mse_loss(critic.predict(states, a), target).value;

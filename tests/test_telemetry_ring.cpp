@@ -35,6 +35,22 @@ void* operator new(std::size_t size, std::align_val_t align) {
   throw std::bad_alloc();
 }
 
+// The nothrow forms too: std::stable_sort's temporary buffer allocates
+// through them and frees through the plain delete below, so they must come
+// from the same malloc.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size);
+}
+
+void* operator new(std::size_t size, std::align_val_t align,
+                   const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::aligned_alloc(static_cast<std::size_t>(align),
+                            (size + static_cast<std::size_t>(align) - 1) &
+                                ~(static_cast<std::size_t>(align) - 1));
+}
+
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }

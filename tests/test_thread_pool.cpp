@@ -24,21 +24,6 @@ TEST(ThreadPool, SpawnsAtLeastOneWorker) {
   EXPECT_EQ(pool3.thread_count(), 3u);
 }
 
-TEST(ThreadPool, SubmitReturnsResultThroughFuture) {
-  ThreadPool pool(2);
-  auto future = pool.submit([] { return 6 * 7; });
-  EXPECT_EQ(future.get(), 42);
-}
-
-TEST(ThreadPool, SubmitPropagatesExceptionThroughFuture) {
-  ThreadPool pool(2);
-  auto future =
-      pool.submit([]() -> int { throw std::runtime_error("task failed"); });
-  EXPECT_THROW(future.get(), std::runtime_error);
-  // The worker that ran the failing task must still be alive.
-  EXPECT_EQ(pool.submit([] { return 1; }).get(), 1);
-}
-
 TEST(ThreadPool, ParallelForRunsEveryIndexExactlyOnce) {
   ThreadPool pool(4);
   constexpr std::size_t kCount = 1000;
@@ -87,44 +72,6 @@ TEST(ThreadPool, NestedParallelForDoesNotDeadlock) {
     });
   });
   EXPECT_EQ(total.load(), 64u);
-}
-
-TEST(ThreadPool, SubmittedTaskCanRunParallelFor) {
-  // The comparison benches overlap a submitted training task with
-  // parallel_for traffic from the main thread; both must complete.
-  ThreadPool pool(2);
-  std::atomic<std::size_t> inner{0};
-  auto future = pool.submit([&] {
-    pool.parallel_for(32, [&](std::size_t) {
-      inner.fetch_add(1, std::memory_order_relaxed);
-    });
-    return true;
-  });
-  std::atomic<std::size_t> outer{0};
-  pool.parallel_for(32, [&](std::size_t) {
-    outer.fetch_add(1, std::memory_order_relaxed);
-  });
-  EXPECT_TRUE(future.get());
-  EXPECT_EQ(inner.load(), 32u);
-  EXPECT_EQ(outer.load(), 32u);
-}
-
-TEST(ThreadPool, ParallelForCompletesWhileLongTaskOccupiesAWorker) {
-  // A queued helper stuck behind a long-running submitted task must not be
-  // waited for: the caller and the free workers drain the loop.
-  ThreadPool pool(2);
-  std::atomic<bool> release{false};
-  auto blocker = pool.submit([&] {
-    while (!release.load(std::memory_order_acquire)) std::this_thread::yield();
-    return true;
-  });
-  std::atomic<std::size_t> done{0};
-  pool.parallel_for(64, [&](std::size_t) {
-    done.fetch_add(1, std::memory_order_relaxed);
-  });
-  EXPECT_EQ(done.load(), 64u);  // completed while the blocker still runs
-  release.store(true, std::memory_order_release);
-  EXPECT_TRUE(blocker.get());
 }
 
 // The determinism contract itself: seed-sharded work merged by index is
@@ -233,17 +180,6 @@ TEST(ThreadPool, ConcurrentExternalCallersSerializeLoops) {
     });
   other.join();
   EXPECT_EQ(total.load(), 4000u);
-}
-
-TEST(ThreadPool, SubmitManyTasksAllComplete) {
-  // The intrusive task queue under load: every future resolves, in any
-  // completion order.
-  ThreadPool pool(4);
-  std::vector<TaskFuture<int>> futures;
-  futures.reserve(200);
-  for (int k = 0; k < 200; ++k)
-    futures.push_back(pool.submit([k] { return k * k; }));
-  for (int k = 0; k < 200; ++k) EXPECT_EQ(futures[k].get(), k * k);
 }
 
 TEST(ThreadPool, StressManyConcurrentLoops) {
