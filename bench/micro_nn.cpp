@@ -1,5 +1,6 @@
 // Microbenchmarks of the neural-network substrate (google-benchmark):
-// matmul, the forward/dW/dX products of one gradient block, the batched vs
+// matmul, the forward/dW/dX products of one gradient block (dX also through
+// a ReLU mask and at the DDPG update's degenerate shapes), the batched vs
 // per-sample inference paths at the paper's network sizes, the Adam step,
 // and one full DDPG update.
 // Every benchmark reports a bytes_per_op counter (heap bytes requested per
@@ -12,6 +13,7 @@
 
 #include "bench_json.h"
 #include "common/rng.h"
+#include "nn/kernels.h"
 #include "nn/network.h"
 #include "nn/optimizer.h"
 #include "nn/train_shards.h"
@@ -87,6 +89,53 @@ void BM_BlockDx(benchmark::State& state) {
   });
 }
 BENCHMARK(BM_BlockDx)->Arg(64)->Arg(256);
+
+// dX through the ReLU of the layer below (the mask is the ReLU-sparse x
+// standing in for that layer's pre-activation): the form every hidden
+// layer's backward runs.
+void BM_BlockDxRelu(benchmark::State& state) {
+  run_block_product(state, [](const nn::Tensor& x, const nn::Tensor& w,
+                              const nn::Tensor& dy, nn::Tensor& out) {
+    out.resize(dy.rows(), w.rows());
+    nn::kern::gemm_nt(dy.data(), w.data(), out.data(), dy.rows(), dy.cols(),
+                      w.rows(), x.data());
+  });
+}
+BENCHMARK(BM_BlockDxRelu)->Arg(64)->Arg(256);
+
+// The DDPG update's two degenerate dX shapes at the fast preset's width
+// (64), one 16-row block each, m x k x n: the critic head (16 x 1 x 64,
+// one output column, through the ReLU below) and the action columns of the
+// critic's joint layer that carry dQ/da to the actor (16 x 64 x 4).
+void run_dx_shape(benchmark::State& state, std::size_t k, std::size_t n,
+                  bool relu_mask) {
+  const std::size_t m = nn::kRowsPerBlock;
+  Rng rng(7);
+  nn::Tensor dy(m, k), w(n, k), mask(m, n), out(m, n);
+  for (std::size_t i = 0; i < dy.size(); ++i) dy.data()[i] = rng.normal();
+  for (std::size_t i = 0; i < w.size(); ++i) w.data()[i] = rng.normal();
+  for (std::size_t i = 0; i < mask.size(); ++i)
+    mask.data()[i] = std::max(0.0, rng.normal());
+  const double* mask_data = relu_mask ? mask.data() : nullptr;
+  const std::uint64_t alloc0 = bench::allocation_mark();
+  for (auto _ : state) {
+    nn::kern::gemm_nt(dy.data(), w.data(), out.data(), m, k, n, mask_data);
+    benchmark::DoNotOptimize(out.data());
+  }
+  bench::record_bytes_per_op(state, alloc0);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(2 * m * k * n));
+}
+
+void BM_DxCriticHead(benchmark::State& state) {
+  run_dx_shape(state, 1, 64, true);
+}
+BENCHMARK(BM_DxCriticHead);
+
+void BM_DxActionColumns(benchmark::State& state) {
+  run_dx_shape(state, 64, 4, false);
+}
+BENCHMARK(BM_DxActionColumns);
 
 nn::Network make_mlp(std::size_t width, std::size_t in, std::size_t out,
                      Rng& rng) {

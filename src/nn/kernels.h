@@ -5,7 +5,7 @@
 //
 //   gemm_nn  C = A · B      forward  (A m x k, B k x n)
 //   gemm_tn  C = Aᵀ · B     dW       (A k x m, B k x n)
-//   gemm_nt  C = A · Bᵀ     dX       (A m x k, B n x k, read in place)
+//   gemm_nt  C = A · Bᵀ     dX       (A m x k, B n x k)
 //
 // Contract (what keeps every golden and bit-identity suite unmodified):
 //  - Each output element is one chain of separate multiplies and adds over
@@ -13,22 +13,33 @@
 //    kernels vectorise across OUTPUT COLUMNS only, never across p, so a
 //    lane computes exactly what the scalar loop computes, in the same
 //    order.
-//  - No FMA: the default build has no -march, and the wide instantiation is
-//    compiled with target("avx2"), which does not enable FMA.
-//  - The template is instantiated twice: at 2 doubles per vector (the
-//    baseline every x86-64 CPU runs) and at 4 doubles per vector under
-//    target("avx2"). The wider one is picked once, from CPUID, the first
-//    time a kernel runs. There is no environment variable, option or flag:
-//    the two instantiations produce the same bits, so the choice is
-//    invisible in results (test_kernels.cpp compares them bitwise).
+//  - No FMA: the default build has no -march, and kernels.cpp is compiled
+//    with -ffp-contract=off (src/CMakeLists.txt). AVX-512F carries FMA, so
+//    without that flag GCC would fuse acc + s * b inside the
+//    target("avx512f") instantiation.
+//  - The template is instantiated three times: at 2 doubles per vector
+//    (the baseline every x86-64 CPU runs), at 4 under target("avx2") and
+//    at 8 under target("avx512f"). Columns left after whole vectors step
+//    down through one 4-double vector to one-lane columns, so no shape
+//    falls into a strided loop. The widest instantiation the CPU runs is
+//    picked once, from CPUID, the first time a kernel runs. There is no
+//    environment variable, option or flag: the instantiations produce the
+//    same bits, so the choice is invisible in results (test_kernels.cpp
+//    compares each with naive loops bitwise).
+//  - gemm_nn and gemm_tn read B in place, a strip of columns at a time.
+//    gemm_nt (dX) runs the same row tiles over A on strips of Bᵀ, which it
+//    packs from B on the stack (through register transposes) in
+//    chunks of 128 reduction steps; between chunks the partial sums park
+//    in C and reload exactly. B is the live weight matrix, read afresh on
+//    every call, so no weight-side copy can go stale when the weights
+//    change. All three store whole vectors of C's rows.
 //  - Epilogues are fused into the tile store: the forward writes
 //    pre = acc + bias (never accumulating from the bias) and post =
-//    relu(pre); dX applies the ReLU mask of the layer below (mask > 0 ?
-//    acc : +0.0). Both are the operations of the separate bias, activation
-//    and activation-backward passes, element for element.
-//  - Nothing allocates. gemm_nt packs the transposed row panel of A (at
-//    most 8 rows x 256 reduction steps) on the stack; B is read in place,
-//    so no weight-side cache can go stale when the weights change.
+//    relu(pre); dX applies the ReLU mask of the layer below as a vector
+//    select (mask > 0 ? acc : +0.0). Both are the operations of the
+//    separate bias, activation and activation-backward passes, element for
+//    element.
+//  - Nothing allocates.
 //
 // MIRAS_NATIVE (which defines MIRAS_NATIVE_KERNELS alongside -march=native)
 // keeps its lane-split forward kernels, gemv_lanes / gemm_lanes2: each
@@ -39,7 +50,8 @@
 // batched serving relies on — but native results differ from the default
 // build's by rounding (pinned in test_kernels.cpp), exactly like
 // -march=native's FMA contraction. dW and dX use the seam in both builds
-// (under -march=native its target("avx2") clone may contract to FMA too).
+// (a native build compiles kernels.cpp without -ffp-contract=off, so the
+// seam may contract to FMA there too).
 //
 // The single-row forward (m == 1, the serving and rollout shape) stays on
 // the GEMV, whose ascending chain matches the seam's element for element.
@@ -58,17 +70,18 @@ inline constexpr bool kNativeKernels = true;
 inline constexpr bool kNativeKernels = false;
 #endif
 
-/// The two instantiations of the seam.
+/// The three instantiations of the seam.
 enum class Isa {
   kBaseline,  // 2 doubles per vector (SSE2 on x86-64)
   kAvx2,      // 4 doubles per vector, target("avx2"), no FMA
+  kAvx512,    // 8 doubles per vector, target("avx512f"), never contracted
 };
 
 /// Whether this CPU can run `isa` (kBaseline always can).
 bool isa_supported(Isa isa);
 
-/// The instantiation the un-suffixed entry points run: kAvx2 when the CPU
-/// has it, decided once.
+/// The instantiation the un-suffixed entry points run: the widest the CPU
+/// has, decided once.
 Isa selected_isa();
 
 /// Fused forward epilogue: c = relu ? relu(acc + bias) : acc + bias, and
@@ -114,9 +127,9 @@ void gemm_nn(Isa isa, const double* a, const double* b, double* c,
 void gemm_tn(Isa isa, const double* a, const double* b, double* c,
              std::size_t m, std::size_t k, std::size_t n);
 
-/// C = A · Bᵀ with B stored n x k. With `relu_mask` (m x n, C's layout) the
-/// epilogue writes relu_mask > 0 ? acc : +0.0 — dX through the layer
-/// below's ReLU.
+/// C = A · Bᵀ with B stored n x k, packed into strips of Bᵀ on every call.
+/// With `relu_mask` (m x n, C's layout) the epilogue writes
+/// relu_mask > 0 ? acc : +0.0 — dX through the layer below's ReLU.
 void gemm_nt(Isa isa, const double* a, const double* b, double* c,
              std::size_t m, std::size_t k, std::size_t n,
              const double* relu_mask = nullptr);

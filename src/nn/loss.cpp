@@ -64,7 +64,10 @@ double huber_loss_partial_into(const Tensor& prediction, const Tensor& target,
     for (std::size_t c = 0; c < prediction.cols(); ++c) {
       const double diff = prediction(r, c) - target(r, c);
       const double abs_diff = std::abs(diff);
-      if (abs_diff <= delta) {
+      // Written as !(> delta) so a NaN difference takes the quadratic branch
+      // and reaches the gradient, where sharded_adam_step refuses it; the
+      // linear branch's sign test would turn it into a finite -delta.
+      if (!(abs_diff > delta)) {
         value += 0.5 * diff * diff * scale;
         grad(r, c) = diff * scale;
       } else {

@@ -40,10 +40,10 @@ void write_binary_container(const char magic[8],
             static_cast<std::streamsize>(bytes.size()));
 }
 
-// Validates the container framing and returns a reader over the payload.
+// Validates the container framing after the magic (which the caller has
+// already checked with has_magic) and returns a reader over the payload.
 // `contents` must outlive the returned reader.
-persist::BinaryReader open_binary_container(const char magic[8],
-                                            const std::string& contents,
+persist::BinaryReader open_binary_container(const std::string& contents,
                                             const char* what) {
   const auto* data = reinterpret_cast<const std::uint8_t*>(contents.data());
   persist::BinaryReader header(data + 8, contents.size() - 8,
@@ -94,7 +94,7 @@ std::vector<DenseLayer> load_binary_layers(std::istream& in,
                              "removed; re-save old models with a build that "
                              "still reads it");
   persist::BinaryReader payload =
-      open_binary_container(binary_magic, contents, what);
+      open_binary_container(contents, what);
   std::vector<DenseLayer> layers = read_layers(payload);
   payload.expect_end();
   return layers;

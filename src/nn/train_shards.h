@@ -120,7 +120,9 @@ void prepare_pass(const std::vector<DenseLayer>& layers, TrainPass& pass);
 ///     norm (ascending layer, weights then bias);
 ///  2. one Adam step with every gradient scaled by max_norm / norm when the
 ///     norm exceeds max_norm (the clip, folded into the step).
-/// Returns the pre-clip norm.
+/// Returns the pre-clip norm. Throws std::runtime_error, before any weight
+/// or Adam moment changes, when that norm is not finite (a NaN or infinite
+/// loss upstream), so one bad update cannot poison the networks.
 double sharded_adam_step(const std::vector<TrainPass>& passes,
                          std::size_t count, std::vector<DenseLayer>& layers,
                          double max_norm, AdamOptimizer& optimizer);

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <stdexcept>
 #include <numeric>
 
 #include "common/stats.h"
@@ -120,6 +123,34 @@ TEST(Ddpg, UpdatesRunAfterWarmup) {
                   rng.uniform(-1, 0), {rng.uniform(0, 10), rng.uniform(0, 10)});
   (void)agent.update(3);
   EXPECT_EQ(agent.updates_performed(), 3u);
+}
+
+TEST(Ddpg, NanRewardStopsTheUpdateBeforeAnyWeightChanges) {
+  DdpgAgent agent(2, 2, 10, tiny_config());
+  Rng rng(4);
+  // The first reward is finite, so the reward bounds that clamp the
+  // Bellman targets stay finite; every later one is NaN, and with n-step
+  // returns every replayed transition carries one.
+  for (int i = 0; i < 48; ++i)
+    agent.observe({rng.uniform(0, 10), rng.uniform(0, 10)}, {0.5, 0.5},
+                  i == 0 ? -0.5 : std::numeric_limits<double>::quiet_NaN(),
+                  {rng.uniform(0, 10), rng.uniform(0, 10)});
+  ASSERT_GE(agent.replay_size(), tiny_config().warmup);
+  const std::vector<double> actor = agent.actor().get_parameters();
+  const std::vector<double> critic = agent.critic().get_parameters();
+  EXPECT_THROW((void)agent.update(1), std::runtime_error);
+  // Compared as bytes: every parameter keeps its exact bits.
+  const std::vector<double> actor_after = agent.actor().get_parameters();
+  const std::vector<double> critic_after = agent.critic().get_parameters();
+  ASSERT_EQ(actor_after.size(), actor.size());
+  ASSERT_EQ(critic_after.size(), critic.size());
+  EXPECT_EQ(std::memcmp(actor_after.data(), actor.data(),
+                        actor.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(std::memcmp(critic_after.data(), critic.data(),
+                        critic.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(agent.updates_performed(), 0u);
 }
 
 TEST(Ddpg, ReplayGrowsWithObservations) {

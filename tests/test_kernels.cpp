@@ -102,7 +102,8 @@ TEST(Kernels, DispatchMatchesScalarBitwiseInDefaultBuild) {
 TEST(Kernels, SeamGemmMatchesRowwiseGemvBitwise) {
   if (kern::kNativeKernels) GTEST_SKIP() << "native-kernel build";
   Rng rng(12);
-  for (const kern::Isa isa : {kern::Isa::kBaseline, kern::Isa::kAvx2}) {
+  for (const kern::Isa isa :
+       {kern::Isa::kBaseline, kern::Isa::kAvx2, kern::Isa::kAvx512}) {
     if (!kern::isa_supported(isa)) continue;
     for (const Shape& s : kShapes) {
       const auto a = random_matrix(s.m, s.k, rng);
@@ -275,12 +276,14 @@ class KernelSeam : public ::testing::TestWithParam<kern::Isa> {
       GTEST_SKIP() << "this CPU lacks the instruction set";
   }
 
-  // Runs check(m, k, n) over the ragged shape grid.
+  // Runs check(m, k, n) over the ragged shape grid: every column-strip
+  // remainder at 2, 4 and 8 lanes (n = 24 is one full 8-lane strip, 25 one
+  // past it), and k on both sides of the dX chunk of 128 steps.
   template <typename Check>
   void for_each_shape(Check&& check) {
     for (const std::size_t m : {1, 2, 3, 5, 16, 17})
-      for (const std::size_t n : {1, 4, 7, 8, 9, 64, 68})
-        for (const std::size_t k : {1, 4, 16, 64, 68, 257}) {
+      for (const std::size_t n : {1, 4, 7, 8, 9, 16, 24, 25, 48, 64, 68})
+        for (const std::size_t k : {1, 4, 16, 64, 68, 127, 128, 129, 257}) {
           SCOPED_TRACE("m=" + std::to_string(m) + " k=" + std::to_string(k) +
                        " n=" + std::to_string(n));
           check(m, k, n);
@@ -367,16 +370,28 @@ TEST_P(KernelSeam, GemmNtFusedReluMaskMatchesActivationBackward) {
 
 INSTANTIATE_TEST_SUITE_P(
     Isa, KernelSeam,
-    ::testing::Values(kern::Isa::kBaseline, kern::Isa::kAvx2),
+    ::testing::Values(kern::Isa::kBaseline, kern::Isa::kAvx2,
+                      kern::Isa::kAvx512),
     [](const ::testing::TestParamInfo<kern::Isa>& info) {
-      return std::string(info.param == kern::Isa::kAvx2 ? "avx2" : "baseline");
+      switch (info.param) {
+        case kern::Isa::kAvx512: return std::string("avx512");
+        case kern::Isa::kAvx2: return std::string("avx2");
+        default: return std::string("baseline");
+      }
     });
 
 TEST(Kernels, SelectedIsaIsTheWidestSupported) {
   EXPECT_TRUE(kern::isa_supported(kern::Isa::kBaseline));
-  EXPECT_EQ(kern::selected_isa(), kern::isa_supported(kern::Isa::kAvx2)
-                                      ? kern::Isa::kAvx2
-                                      : kern::Isa::kBaseline);
+  // AVX-512F implies AVX2.
+  if (kern::isa_supported(kern::Isa::kAvx512)) {
+    EXPECT_TRUE(kern::isa_supported(kern::Isa::kAvx2));
+  }
+  const kern::Isa widest = kern::isa_supported(kern::Isa::kAvx512)
+                               ? kern::Isa::kAvx512
+                           : kern::isa_supported(kern::Isa::kAvx2)
+                               ? kern::Isa::kAvx2
+                               : kern::Isa::kBaseline;
+  EXPECT_EQ(kern::selected_isa(), widest);
 }
 
 }  // namespace

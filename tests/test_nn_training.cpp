@@ -139,7 +139,9 @@ TEST(Training, SoftmaxHeadLearnsArgmaxPreference) {
     in[i] = 1.0;
     const auto out = net.predict_one(in);
     for (std::size_t j = 0; j < 3; ++j) {
-      if (j != i) EXPECT_GT(out[i], out[j]);
+      if (j != i) {
+        EXPECT_GT(out[i], out[j]);
+      }
     }
   }
 }

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -178,6 +181,40 @@ TEST(ClipGradients, GlobalNormAcrossTensors) {
   EXPECT_DOUBLE_EQ(norm, 5.0);
   EXPECT_NEAR(layers[0].weights()(0, 0), -kLr * 0.6 / 1.6, 1e-12);
   EXPECT_NEAR(layers[0].bias()(0, 0), -kLr * 0.8 / 1.8, 1e-12);
+}
+
+TEST(ClipGradients, ReduceChainsFromPositiveZeroInBlockOrder) {
+  // Three blocks: the reduced gradient is ((0.0 + g0) + g1) + g2 per
+  // element, so a sum of -0.0 blocks is +0.0 and the order of the rounding
+  // adds is the block order.
+  std::vector<TrainPass> passes = one_block(-0.0, 1e16);
+  passes.push_back(one_block(-0.0, 1.0)[0]);
+  passes.push_back(one_block(-0.0, -1e16)[0]);
+  auto layers = scalar_layer(0.0, 0.0);
+  AdamOptimizer opt(kLr);
+  sharded_adam_step(passes, 3, layers, 10.0, opt);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(layers[0].weight_grad()(0, 0)),
+            std::bit_cast<std::uint64_t>(0.0));
+  EXPECT_EQ(layers[0].bias_grad()(0, 0), ((0.0 + 1e16) + 1.0) + -1e16);
+}
+
+TEST(ClipGradients, NonFiniteNormThrowsBeforeTheStep) {
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    auto layers = scalar_layer(0.5, 0.0);
+    AdamOptimizer opt(kLr);
+    EXPECT_THROW(sharded_adam_step(one_block(1.0, bad), 1, layers, 10.0, opt),
+                 std::runtime_error);
+    EXPECT_EQ(layers[0].weights()(0, 0), 0.5);
+    EXPECT_EQ(layers[0].bias()(0, 0), 0.0);
+    // Adam's state is untouched too: the next finite step is a first step.
+    auto fresh = scalar_layer(0.5, 0.0);
+    AdamOptimizer fresh_opt(kLr);
+    sharded_adam_step(one_block(2.0, 1.0), 1, layers, 10.0, opt);
+    sharded_adam_step(one_block(2.0, 1.0), 1, fresh, 10.0, fresh_opt);
+    EXPECT_EQ(layers[0].weights()(0, 0), fresh[0].weights()(0, 0));
+    EXPECT_EQ(layers[0].bias()(0, 0), fresh[0].bias()(0, 0));
+  }
 }
 
 TEST(ClipGradients, InvalidMaxNorm) {

@@ -191,7 +191,9 @@ TEST(TelemetryRing, MergedSnapshotSurvivesPerRingWraparoundAtDifferentRates) {
   // All survivors intact and globally timestamp-ordered...
   for (std::size_t i = 0; i < merged.size(); ++i) {
     EXPECT_TRUE(is_derived(merged[i]));
-    if (i > 0) EXPECT_GE(merged[i].timestamp_ns, merged[i - 1].timestamp_ns);
+    if (i > 0) {
+      EXPECT_GE(merged[i].timestamp_ns, merged[i - 1].timestamp_ns);
+    }
   }
   // ...and the busy ring contributed exactly its newest window.
   std::uint64_t even_seen = 0, oldest_even = ~0ull;
@@ -240,9 +242,10 @@ TEST(TelemetryRing, MergedSnapshotWithOneWriterPerRingNeverTearsOrReorders) {
     for (const TelemetryRecord& rec : merged) {
       ASSERT_TRUE(is_derived(rec)) << "torn record at i=" << rec.timestamp_ns;
       const std::size_t r = rec.timestamp_ns % kRings;
-      if (seen[r])
+      if (seen[r]) {
         ASSERT_GT(rec.timestamp_ns, last_stamp[r])
             << "ring " << r << " subsequence out of write order";
+      }
       seen[r] = true;
       last_stamp[r] = rec.timestamp_ns;
     }
