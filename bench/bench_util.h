@@ -58,10 +58,6 @@ struct BenchOptions {
   /// collection schedule; results are bit-identical for any N and across
   /// repeated runs (dist/learner.h).
   std::size_t collectors = 0;
-  /// Transport for --collectors: "pipe" (socketpairs) or "file"
-  /// (append-only spool files). Empty = unset; resolves to pipe when
-  /// collectors are on, refused when given without --collectors.
-  std::string transport;
   /// Chaos knob (--dist-kill-after N): SIGKILL collector 0 once N batches
   /// have been folded, exercising the respawn path mid-run. The trace must
   /// come out identical anyway. 0 = off.
@@ -95,8 +91,6 @@ inline BenchOptions parse_options(int argc, char** argv) {
       options.resume = argv[++i];
     } else if (arg == "--collectors" && i + 1 < argc) {
       options.collectors = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--transport" && i + 1 < argc) {
-      options.transport = argv[++i];
     } else if (arg == "--dist-kill-after" && i + 1 < argc) {
       options.dist_kill_after = std::strtoull(argv[++i], nullptr, 10);
     } else if (arg == "--help" || arg == "-h") {
@@ -104,8 +98,7 @@ inline BenchOptions parse_options(int argc, char** argv) {
                 << " [--full] [--csv] [--seed N] [--dataset msd|ligo]"
                    " [--threads N] [--shards N] [--checkpoint-every N]"
                    " [--checkpoint-path FILE] [--resume FILE]"
-                   " [--collectors N] [--transport pipe|file]"
-                   " [--dist-kill-after N]\n";
+                   " [--collectors N] [--dist-kill-after N]\n";
       std::exit(0);
     }
   }

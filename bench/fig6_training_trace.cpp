@@ -142,16 +142,9 @@ int main(int argc, char** argv) {
   // Distributed-collection flag validation, mirroring the checkpoint
   // refusals above: unsupported combinations exit 2 up front instead of
   // failing mid-run.
-  if (options.collectors == 0 &&
-      (!options.transport.empty() || options.dist_kill_after > 0)) {
-    std::cerr << "fig6: --transport/--dist-kill-after require "
-                 "--collectors N with N >= 1\n";
-    return 2;
-  }
-  if (!options.transport.empty() && options.transport != "pipe" &&
-      options.transport != "file") {
-    std::cerr << "fig6: unknown --transport '" << options.transport
-              << "' (expected pipe or file)\n";
+  if (options.collectors == 0 && options.dist_kill_after > 0) {
+    std::cerr << "fig6: --dist-kill-after requires --collectors N with "
+                 "N >= 1\n";
     return 2;
   }
   if (options.collectors > 0 && sections.size() > 1) {
@@ -178,14 +171,9 @@ int main(int argc, char** argv) {
     pool_options.collectors = options.collectors;
     pool_options.config_fingerprint = fingerprint;
     pool_options.kill_collector_after = options.dist_kill_after;
-    dist::SpawnFn spawn =
-        options.transport == "file"
-            ? dist::make_fork_file_spawner("fig6_dist_spool", section.config,
-                                           factory, fingerprint)
-            : dist::make_fork_pipe_spawner(section.config, factory,
-                                           fingerprint);
-    collector_pool = std::make_unique<dist::CollectorPool>(pool_options,
-                                                           std::move(spawn));
+    collector_pool = std::make_unique<dist::CollectorPool>(
+        pool_options,
+        dist::make_fork_pipe_spawner(section.config, factory, fingerprint));
   }
 
   // The two training traces are independent; run them concurrently with

@@ -25,7 +25,7 @@
 // latency), bytes_per_op (heap bytes allocated per decision over the
 // steady-state measurement window — this TU replaces the global allocator
 // to count them; 0 is the contract for the direct, admission, and lane
-// arms), served, swaps, dropped, clients, max_batch, lanes, cpus, native.
+// arms), served, swaps, dropped, clients, max_batch, lanes, cpus.
 //
 // Like micro_scaling, this harness owns its timing loop (throughput and
 // percentiles are cross-thread quantities) and links no google-benchmark.
@@ -53,7 +53,6 @@
 #define MIRAS_BENCH_JSON_NO_GBENCH
 #include "bench_json.h"
 #include "common/rng.h"
-#include "nn/kernels.h"
 #include "rl/ddpg.h"
 #include "serve/admission.h"
 #include "serve/servable.h"
@@ -389,9 +388,8 @@ bool write_serve_json(const std::string& path,
         << ", \"bytes_per_op\": " << r.bytes_per_op
         << ", \"mean_batch\": " << r.mean_batch
         << ", \"served\": " << r.served << ", \"swaps\": " << r.swaps
-        << ", \"dropped\": " << r.dropped << ", \"cpus\": " << cpus
-        << ", \"native\": " << (nn::kern::kNativeKernels ? "true" : "false")
-        << "}" << (i + 1 < records.size() ? "," : "") << "\n";
+        << ", \"dropped\": " << r.dropped << ", \"cpus\": " << cpus << "}"
+        << (i + 1 < records.size() ? "," : "") << "\n";
   }
   out << "]\n";
   return out.good();
@@ -439,7 +437,7 @@ int serve_main(int argc, char** argv) {
   }
 
   const unsigned cpus = std::thread::hardware_concurrency();
-  std::printf("cpus: %u  native: %d\n", cpus, nn::kern::kNativeKernels);
+  std::printf("cpus: %u\n", cpus);
 
   ActorServable servable(make_snapshot());
   std::vector<ArmResult> records;

@@ -55,20 +55,6 @@ void maybe_inject_collection_burst(const MirasConfig& config, sim::Env* env,
   system->inject_burst(burst);
 }
 
-std::vector<int> collection_allocation(const std::vector<double>& weights,
-                                       int budget,
-                                       const rl::DdpgConfig& config) {
-  std::vector<int> allocation =
-      rl::allocation_from_weights(weights, budget, config.rounding);
-  if (config.min_consumers_per_type > 0 &&
-      budget >= config.min_consumers_per_type *
-                    static_cast<int>(allocation.size())) {
-    rl::enforce_minimum_allocation(allocation, config.min_consumers_per_type,
-                                   budget);
-  }
-  return allocation;
-}
-
 CollectedEpisode run_shard_episode(const EpisodeSpec& spec,
                                    bool random_actions,
                                    const rl::BehaviorSnapshot& behavior,
@@ -112,8 +98,9 @@ CollectedEpisode run_shard_episode(const EpisodeSpec& spec,
         weights = snapshot->act(state, ep_rng);
         break;
     }
-    const std::vector<int> allocation =
-        collection_allocation(weights, env->consumer_budget(), config.ddpg);
+    const std::vector<int> allocation = rl::allocation_with_minimum(
+        weights, env->consumer_budget(), config.ddpg.rounding,
+        config.ddpg.min_consumers_per_type);
     const sim::StepResult result = env->step(allocation);
     episode.transitions.push_back(
         envmodel::Transition{state, allocation, result.state, result.reward});

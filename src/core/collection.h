@@ -63,13 +63,6 @@ std::vector<double> demo_proportional_weights(const std::vector<double>& state,
 void maybe_inject_collection_burst(const MirasConfig& config, sim::Env* env,
                                    Rng& rng);
 
-/// Weight-to-allocation mapping shared by collection, synthetic training,
-/// and the model-free trainer; mirrors DdpgAgent::act_allocation (including
-/// the minReplicas-style guardrail) so behaviour and deployment match.
-std::vector<int> collection_allocation(const std::vector<double>& weights,
-                                       int budget,
-                                       const rl::DdpgConfig& config);
-
 /// Runs one collection episode. Every stochastic choice — environment
 /// arrivals, burst, behaviour, exploration — flows from spec.seed in a
 /// fixed draw order. `env_pool` (optional) recycles environments across

@@ -65,10 +65,13 @@ void MirasAgent::for_each_shard(
 }
 
 namespace {
-// Local alias keeping the historical call sites readable.
+// The agent's own weights -> allocation policy (DdpgAgent::act_allocation),
+// so behaviour during collection and synthetic training matches
+// deployment.
 std::vector<int> to_allocation(const std::vector<double>& weights, int budget,
                                const rl::DdpgConfig& config) {
-  return collection_allocation(weights, budget, config);
+  return rl::allocation_with_minimum(weights, budget, config.rounding,
+                                     config.min_consumers_per_type);
 }
 }  // namespace
 

@@ -2,7 +2,6 @@
 
 #include <errno.h>
 #include <signal.h>
-#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -352,37 +351,6 @@ SpawnFn make_fork_pipe_spawner(core::MirasConfig config,
     });
     collector_end->close_fds();  // parent's copy of the child's end
     endpoint.stream = std::move(learner_end);
-    return endpoint;
-  };
-}
-
-SpawnFn make_fork_file_spawner(std::string spool_dir,
-                               core::MirasConfig config,
-                               core::EnvFactory make_env,
-                               std::uint64_t fingerprint) {
-  ::mkdir(spool_dir.c_str(), 0755);  // best effort; open reports failures
-  auto incarnation = std::make_shared<std::atomic<std::size_t>>(0);
-  return [spool_dir = std::move(spool_dir), config = std::move(config),
-          make_env = std::move(make_env), fingerprint,
-          incarnation](std::uint32_t collector_id) -> Endpoint {
-    // Fresh spool files per (re)spawn: a killed collector's torn tail must
-    // never prefix its successor's stream.
-    const std::size_t n = incarnation->fetch_add(1);
-    const std::string base = spool_dir + "/c" + std::to_string(collector_id) +
-                             "_i" + std::to_string(n);
-    const std::string to_learner = base + "_to_learner.q";
-    const std::string to_collector = base + "_to_collector.q";
-    CollectorOptions options;
-    options.collector_id = collector_id;
-    options.config_fingerprint = fingerprint;
-    const pid_t parent = ::getpid();
-    Endpoint endpoint;
-    endpoint.pid = fork_collector([&] {
-      FileQueueStream stream(to_collector, to_learner, parent);
-      run_collector(stream, config, make_env, options);
-    });
-    endpoint.stream = std::make_unique<FileQueueStream>(
-        to_learner, to_collector, endpoint.pid);
     return endpoint;
   };
 }

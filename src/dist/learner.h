@@ -46,8 +46,8 @@ struct Endpoint {
 
 /// Spawns (or respawns) collector `collector_id` and returns the learner's
 /// end of its stream. Called once per collector up front and again after
-/// each death; respawns must produce a fresh conversation (e.g. new spool
-/// files for the file transport).
+/// each death; respawns must produce a fresh conversation (a new stream,
+/// never the dead collector's).
 using SpawnFn = std::function<Endpoint(std::uint32_t collector_id)>;
 
 struct PoolOptions {
@@ -146,14 +146,6 @@ SpawnFn make_thread_spawner(core::MirasConfig config,
 
 /// Fork spawner over socketpairs. Fork before creating any ThreadPool.
 SpawnFn make_fork_pipe_spawner(core::MirasConfig config,
-                               core::EnvFactory make_env,
-                               std::uint64_t fingerprint);
-
-/// Fork spawner over append-only spool files in `spool_dir` (created if
-/// missing). Each (re)spawn opens a fresh pair of spool files, so a killed
-/// collector's torn tail never corrupts its successor's stream.
-SpawnFn make_fork_file_spawner(std::string spool_dir,
-                               core::MirasConfig config,
                                core::EnvFactory make_env,
                                std::uint64_t fingerprint);
 

@@ -4,17 +4,11 @@
 // persist-encoded messages over it and never cares which implementation
 // carries the bytes:
 //
-//  - FdStream:        a connected socketpair/pipe fd pair (fork-spawned
-//                     collector processes). EINTR-safe, poll-based timeouts.
-//  - FileQueueStream: two append-only spool files in a shared directory —
-//                     the fallback when no fd channel can be had (and a
-//                     debuggable on-disk trace of the whole conversation).
-//                     Peer liveness is checked via kill(pid, 0).
-//  - LoopbackStream:  an in-memory queue pair for thread-spawned collectors
-//                     and tests (no fork, so it is the TSan-friendly mode).
+//  - FdStream:       a connected socketpair/pipe fd pair (fork-spawned
+//                    collector processes). EINTR-safe, poll-based timeouts.
+//  - LoopbackStream: an in-memory queue pair for thread-spawned collectors
+//                    and tests (no fork, so it is the TSan-friendly mode).
 #pragma once
-
-#include <sys/types.h>
 
 #include <condition_variable>
 #include <cstddef>
@@ -22,7 +16,6 @@
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <utility>
 
 namespace miras::dist {
@@ -78,36 +71,6 @@ class FdStream final : public ByteStream {
 /// each process close_fds()es (or destroys) the end it does not use.
 std::pair<std::unique_ptr<FdStream>, std::unique_ptr<FdStream>>
 make_socketpair_streams();
-
-/// ByteStream over two append-only spool files: bytes sent are appended to
-/// `out_path`, bytes received are tailed from `in_path` (each file has
-/// exactly one writer and one reader, so plain appends + positional reads
-/// are race-free). recv_some treats "no new bytes" as kTimeout while the
-/// peer process is alive and as kClosed once it is gone (peer pid 0 =
-/// unknown peer, never reported closed).
-class FileQueueStream final : public ByteStream {
- public:
-  FileQueueStream(std::string in_path, std::string out_path, pid_t peer_pid);
-  ~FileQueueStream() override;
-
-  FileQueueStream(const FileQueueStream&) = delete;
-  FileQueueStream& operator=(const FileQueueStream&) = delete;
-
-  void send(const void* data, std::size_t size) override;
-  RecvResult recv_some(void* data, std::size_t max, int timeout_ms) override;
-
-  void set_peer_pid(pid_t pid) { peer_pid_ = pid; }
-
- private:
-  bool peer_alive() const;
-
-  std::string in_path_;
-  std::string out_path_;
-  pid_t peer_pid_;
-  int in_fd_ = -1;   // opened lazily: the peer may not have created it yet
-  int out_fd_ = -1;
-  std::size_t read_offset_ = 0;
-};
 
 /// In-memory ByteStream pair (A's sends are B's receives and vice versa).
 /// Thread-safe; used by thread-spawned collectors and the unit tests.

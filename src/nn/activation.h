@@ -24,25 +24,19 @@ std::string activation_name(Activation a);
 /// Parses the result of activation_name(); throws on unknown names.
 Activation activation_from_name(const std::string& name);
 
-/// Applies the activation to every row of `pre` (pre-activation values).
-Tensor activate(Activation a, const Tensor& pre);
-
-/// activate() writing into `out` (resized to pre's shape). `out` must not
-/// alias `pre`; use activate_inplace for in-place application.
+/// Applies the activation to every row of `pre` (pre-activation values),
+/// writing into `out` (resized to pre's shape). `out` must not alias
+/// `pre`; use activate_inplace for in-place application.
 void activate_into(Activation a, const Tensor& pre, Tensor& out);
 
 /// Applies the activation in place (overwrites the pre-activations).
 /// Bit-identical to activate_into on the same values.
 void activate_inplace(Activation a, Tensor& values);
 
-/// Given pre-activations `pre`, post-activations `post` = activate(a, pre),
-/// and the gradient `grad_post` of the loss w.r.t. `post`, returns the
-/// gradient w.r.t. `pre`. For softmax this computes the full row-wise
-/// Jacobian-vector product.
-Tensor activation_backward(Activation a, const Tensor& pre, const Tensor& post,
-                           const Tensor& grad_post);
-
-/// activation_backward() writing into `grad_pre` (resized to pre's shape).
+/// Given pre-activations `pre`, post-activations `post` (activate_into of
+/// `pre`) and the gradient `grad_post` of the loss w.r.t. `post`, writes
+/// the gradient w.r.t. `pre` into `grad_pre` (resized to pre's shape). For
+/// softmax this computes the full row-wise Jacobian-vector product.
 /// `grad_pre` must not alias the inputs. Note: for kIdentity this copies
 /// grad_post; callers on the hot path skip the call entirely instead (the
 /// gradient passes through unchanged).

@@ -9,8 +9,8 @@
 
 namespace miras::nn::kern {
 
-void gemv_scalar(const double* a, const double* w, double* out, std::size_t k,
-                 std::size_t n) {
+void gemv(const double* a, const double* w, double* out, std::size_t k,
+          std::size_t n) {
   for (std::size_t j = 0; j < n; ++j) out[j] = 0.0;
   for (std::size_t p = 0; p < k; ++p) {
     const double v = a[p];
@@ -20,138 +20,6 @@ void gemv_scalar(const double* a, const double* w, double* out, std::size_t k,
     const double* w_row = w + p * n;
     for (std::size_t j = 0; j < n; ++j) out[j] += v * w_row[j];
   }
-}
-
-void gemv_lanes(const double* a, const double* w, double* out, std::size_t k,
-                std::size_t n) {
-  // Four reduction lanes (p % 4) broken over eight-column register tiles.
-  // Each lane accumulates its p-subsequence in ascending order; lanes are
-  // combined in the fixed order ((s0 + s1) + (s2 + s3)) and the p-remainder
-  // is added last, ascending. The per-column reduction order is therefore
-  // independent of the tile a column lands in, so widening or narrowing the
-  // matrix never changes the surviving columns' bits.
-  constexpr std::size_t kTile = 8;
-  const std::size_t k4 = k - k % 4;
-  std::size_t j = 0;
-  for (; j + kTile <= n; j += kTile) {
-    double s0[kTile] = {0.0}, s1[kTile] = {0.0};
-    double s2[kTile] = {0.0}, s3[kTile] = {0.0};
-    for (std::size_t p = 0; p < k4; p += 4) {
-      const double a0 = a[p], a1 = a[p + 1], a2 = a[p + 2], a3 = a[p + 3];
-      const double* w0 = w + p * n + j;
-      const double* w1 = w0 + n;
-      const double* w2 = w1 + n;
-      const double* w3 = w2 + n;
-      for (std::size_t t = 0; t < kTile; ++t) {
-        s0[t] += a0 * w0[t];
-        s1[t] += a1 * w1[t];
-        s2[t] += a2 * w2[t];
-        s3[t] += a3 * w3[t];
-      }
-    }
-    for (std::size_t t = 0; t < kTile; ++t) {
-      double acc = (s0[t] + s1[t]) + (s2[t] + s3[t]);
-      for (std::size_t p = k4; p < k; ++p) acc += a[p] * w[p * n + j + t];
-      out[j + t] = acc;
-    }
-  }
-  for (; j < n; ++j) {
-    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-    for (std::size_t p = 0; p < k4; p += 4) {
-      s0 += a[p] * w[p * n + j];
-      s1 += a[p + 1] * w[(p + 1) * n + j];
-      s2 += a[p + 2] * w[(p + 2) * n + j];
-      s3 += a[p + 3] * w[(p + 3) * n + j];
-    }
-    double acc = (s0 + s1) + (s2 + s3);
-    for (std::size_t p = k4; p < k; ++p) acc += a[p] * w[p * n + j];
-    out[j] = acc;
-  }
-}
-
-void gemm_lanes2(const double* a, const double* b, double* out, std::size_t m,
-                 std::size_t k, std::size_t n) {
-  // Two rows of A share each streamed block of B rows, with the same
-  // four-lane split accumulation as gemv_lanes: lane l sums p ≡ l (mod 4)
-  // ascending, lanes combine as ((s0 + s1) + (s2 + s3)), remainder added
-  // last ascending. Because the per-element order matches gemv_lanes
-  // exactly, any row of this GEMM is bit-identical to running that row
-  // through the GEMV alone — which is what lets the serving path coalesce
-  // requests into one batched pass without changing any client's answer.
-  constexpr std::size_t kTile = 4;  // output columns per register tile
-  const std::size_t k4 = k - k % 4;
-  std::size_t i = 0;
-  for (; i + 2 <= m; i += 2) {
-    const double* a0 = a + i * k;
-    const double* a1 = a0 + k;
-    double* o0 = out + i * n;
-    double* o1 = o0 + n;
-    std::size_t j = 0;
-    for (; j + kTile <= n; j += kTile) {
-      double r0l0[kTile] = {0.0}, r0l1[kTile] = {0.0};
-      double r0l2[kTile] = {0.0}, r0l3[kTile] = {0.0};
-      double r1l0[kTile] = {0.0}, r1l1[kTile] = {0.0};
-      double r1l2[kTile] = {0.0}, r1l3[kTile] = {0.0};
-      for (std::size_t p = 0; p < k4; p += 4) {
-        const double a00 = a0[p], a01 = a0[p + 1];
-        const double a02 = a0[p + 2], a03 = a0[p + 3];
-        const double a10 = a1[p], a11 = a1[p + 1];
-        const double a12 = a1[p + 2], a13 = a1[p + 3];
-        const double* w0 = b + p * n + j;
-        const double* w1 = w0 + n;
-        const double* w2 = w1 + n;
-        const double* w3 = w2 + n;
-        for (std::size_t t = 0; t < kTile; ++t) {
-          const double b0 = w0[t], b1 = w1[t], b2 = w2[t], b3 = w3[t];
-          r0l0[t] += a00 * b0;
-          r0l1[t] += a01 * b1;
-          r0l2[t] += a02 * b2;
-          r0l3[t] += a03 * b3;
-          r1l0[t] += a10 * b0;
-          r1l1[t] += a11 * b1;
-          r1l2[t] += a12 * b2;
-          r1l3[t] += a13 * b3;
-        }
-      }
-      for (std::size_t t = 0; t < kTile; ++t) {
-        double acc0 = (r0l0[t] + r0l1[t]) + (r0l2[t] + r0l3[t]);
-        double acc1 = (r1l0[t] + r1l1[t]) + (r1l2[t] + r1l3[t]);
-        for (std::size_t p = k4; p < k; ++p) {
-          const double bv = b[p * n + j + t];
-          acc0 += a0[p] * bv;
-          acc1 += a1[p] * bv;
-        }
-        o0[j + t] = acc0;
-        o1[j + t] = acc1;
-      }
-    }
-    for (; j < n; ++j) {
-      double s00 = 0.0, s01 = 0.0, s02 = 0.0, s03 = 0.0;
-      double s10 = 0.0, s11 = 0.0, s12 = 0.0, s13 = 0.0;
-      for (std::size_t p = 0; p < k4; p += 4) {
-        const double b0 = b[p * n + j], b1 = b[(p + 1) * n + j];
-        const double b2 = b[(p + 2) * n + j], b3 = b[(p + 3) * n + j];
-        s00 += a0[p] * b0;
-        s01 += a0[p + 1] * b1;
-        s02 += a0[p + 2] * b2;
-        s03 += a0[p + 3] * b3;
-        s10 += a1[p] * b0;
-        s11 += a1[p + 1] * b1;
-        s12 += a1[p + 2] * b2;
-        s13 += a1[p + 3] * b3;
-      }
-      double acc0 = (s00 + s01) + (s02 + s03);
-      double acc1 = (s10 + s11) + (s12 + s13);
-      for (std::size_t p = k4; p < k; ++p) {
-        const double bv = b[p * n + j];
-        acc0 += a0[p] * bv;
-        acc1 += a1[p] * bv;
-      }
-      o0[j] = acc0;
-      o1[j] = acc1;
-    }
-  }
-  if (i < m) gemv_lanes(a + i * k, b, out + i * n, k, n);
 }
 
 // ---- The seam ----------------------------------------------------------
@@ -559,27 +427,21 @@ void gemm_nt(Isa isa, const double* a, const double* b, double* c,
 
 void gemm(const double* a, const double* b, double* c, std::size_t m,
           std::size_t k, std::size_t n, const Epilogue& epilogue) {
-  if (m != 1 && !kNativeKernels) {
+  if (m != 1) {
     gemm_nn(selected_isa(), a, b, c, m, k, n, epilogue);
     return;
   }
-  if (m == 1) {
-    gemv(a, b, c, k, n);
-  } else {
-    gemm_lanes2(a, b, c, m, k, n);
-  }
+  gemv(a, b, c, k, n);
   // The epilogue as its own pass: the fused store's arithmetic, element by
   // element.
   if (epilogue.bias == nullptr && epilogue.pre == nullptr && !epilogue.relu)
     return;
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      double out = c[i * n + j];
-      if (epilogue.bias != nullptr) out = out + epilogue.bias[j];
-      if (epilogue.pre != nullptr) epilogue.pre[i * n + j] = out;
-      if (epilogue.relu) zero_unless_positive(out, out);
-      c[i * n + j] = out;
-    }
+  for (std::size_t j = 0; j < n; ++j) {
+    double out = c[j];
+    if (epilogue.bias != nullptr) out = out + epilogue.bias[j];
+    if (epilogue.pre != nullptr) epilogue.pre[j] = out;
+    if (epilogue.relu) zero_unless_positive(out, out);
+    c[j] = out;
   }
 }
 

@@ -13,8 +13,8 @@
 //    kernels vectorise across OUTPUT COLUMNS only, never across p, so a
 //    lane computes exactly what the scalar loop computes, in the same
 //    order.
-//  - No FMA: the default build has no -march, and kernels.cpp is compiled
-//    with -ffp-contract=off (src/CMakeLists.txt). AVX-512F carries FMA, so
+//  - No FMA: the build has no -march, and kernels.cpp is compiled with
+//    -ffp-contract=off (src/CMakeLists.txt). AVX-512F carries FMA, so
 //    without that flag GCC would fuse acc + s * b inside the
 //    target("avx512f") instantiation.
 //  - The template is instantiated three times: at 2 doubles per vector
@@ -41,34 +41,16 @@
 //    element.
 //  - Nothing allocates.
 //
-// MIRAS_NATIVE (which defines MIRAS_NATIVE_KERNELS alongside -march=native)
-// keeps its lane-split forward kernels, gemv_lanes / gemm_lanes2: each
-// element's reduction is split over four accumulator lanes (p % 4) combined
-// in the fixed order ((s0 + s1) + (s2 + s3)), remainder last. That order is
-// a function of k alone, so within the native build a batched row is still
-// bit-identical to the same row through the GEMV alone — the invariant
-// batched serving relies on — but native results differ from the default
-// build's by rounding (pinned in test_kernels.cpp), exactly like
-// -march=native's FMA contraction. dW and dX use the seam in both builds
-// (a native build compiles kernels.cpp without -ffp-contract=off, so the
-// seam may contract to FMA there too).
-//
 // The single-row forward (m == 1, the serving and rollout shape) stays on
 // the GEMV, whose ascending chain matches the seam's element for element.
-// All kernels assume finite inputs (gemv_scalar's zero-skip drops 0 * x
-// terms, which only differ from the seam for non-finite x). `c` must not
-// alias the operands.
+// All kernels assume finite inputs (gemv's zero-skip drops 0 * x terms,
+// which only differ from the seam for non-finite x). `c` must not alias
+// the operands.
 #pragma once
 
 #include <cstddef>
 
 namespace miras::nn::kern {
-
-#if defined(MIRAS_NATIVE_KERNELS) && MIRAS_NATIVE_KERNELS
-inline constexpr bool kNativeKernels = true;
-#else
-inline constexpr bool kNativeKernels = false;
-#endif
 
 /// The three instantiations of the seam.
 enum class Isa {
@@ -94,28 +76,8 @@ struct Epilogue {
 };
 
 /// out[j] = sum_p a[p] * w[p * n + j], p ascending. a is 1 x k, w is k x n.
-void gemv_scalar(const double* a, const double* w, double* out, std::size_t k,
-                 std::size_t n);
-
-/// Same contraction with four split accumulator lanes held in registers
-/// across eight-column tiles; agrees with gemv_scalar to rounding.
-void gemv_lanes(const double* a, const double* w, double* out, std::size_t k,
-                std::size_t n);
-
-/// Lane-split GEMM: two rows per pass, per-element reduction order
-/// identical to gemv_lanes (row for row bit-identical to it).
-void gemm_lanes2(const double* a, const double* b, double* out, std::size_t m,
-                 std::size_t k, std::size_t n);
-
-/// Build-selected GEMV dispatch.
-inline void gemv(const double* a, const double* w, double* out, std::size_t k,
-                 std::size_t n) {
-  if constexpr (kNativeKernels) {
-    gemv_lanes(a, w, out, k, n);
-  } else {
-    gemv_scalar(a, w, out, k, n);
-  }
-}
+void gemv(const double* a, const double* w, double* out, std::size_t k,
+          std::size_t n);
 
 /// The seam proper: C = A · B at `isa`, epilogue fused into the tile
 /// store.
@@ -135,10 +97,9 @@ void gemm_nt(Isa isa, const double* a, const double* b, double* c,
              const double* relu_mask = nullptr);
 
 /// The forward dispatch: C = A · B, then the epilogue. m == 1 runs gemv()
-/// and native builds gemm_lanes2, each followed by the epilogue as a
-/// separate pass (the same per-element arithmetic); every other shape runs
-/// gemm_nn at selected_isa(). Row for row bit-identical to gemv() in the
-/// same build.
+/// followed by the epilogue as a separate pass (the same per-element
+/// arithmetic); every other shape runs gemm_nn at selected_isa(). Row for
+/// row bit-identical to gemv().
 void gemm(const double* a, const double* b, double* c, std::size_t m,
           std::size_t k, std::size_t n, const Epilogue& epilogue = {});
 

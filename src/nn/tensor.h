@@ -18,12 +18,8 @@
 // matmul_into -> kern::gemm (C = A·B), transposed_matmul_into ->
 // kern::gemm_tn (C = Aᵀ·B, dW), matmul_transposed_into -> kern::gemm_nt
 // (C = A·Bᵀ, dX). The seam vectorises across output columns only, never
-// across the reduction, uses no FMA in the default build, and picks its
-// vector width once from CPUID with no knob — both widths give the same
-// bits. Under MIRAS_NATIVE the forward GEMV/GEMM switch to a four-lane
-// split accumulation with one fixed combine order, so the invariant still
-// holds within that build (batched ≡ row-at-a-time, bitwise) but native
-// results differ from default-build results by rounding (see kernels.h).
+// across the reduction, uses no FMA, and picks its vector width once from
+// CPUID with no knob — every width gives the same bits.
 #pragma once
 
 #include <cstddef>
@@ -87,13 +83,6 @@ class Tensor {
 
   /// Sums all rows into `out` (resized to 1 x cols; for bias gradients).
   void column_sums_into(Tensor& out) const;
-
-  /// Applies f to every element in place. Statically dispatched so the
-  /// functor inlines into the loop (no per-element indirect call).
-  template <typename F>
-  void apply(F&& f) {
-    for (double& x : data_) x = f(x);
-  }
 
   /// Overwrites every element with `value`.
   void fill(double value);

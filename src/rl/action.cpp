@@ -53,6 +53,16 @@ std::vector<int> allocation_from_weights(const std::vector<double>& weights,
   return allocation;
 }
 
+std::vector<int> allocation_with_minimum(const std::vector<double>& weights,
+                                         int budget, RoundingMode mode,
+                                         int min_per_type) {
+  std::vector<int> allocation = allocation_from_weights(weights, budget, mode);
+  if (min_per_type > 0 &&
+      budget >= min_per_type * static_cast<int>(allocation.size()))
+    enforce_minimum_allocation(allocation, min_per_type, budget);
+  return allocation;
+}
+
 std::vector<double> weights_from_allocation(const std::vector<int>& allocation,
                                             int budget) {
   MIRAS_EXPECTS(budget > 0);

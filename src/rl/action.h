@@ -23,6 +23,15 @@ enum class RoundingMode { kFloor, kLargestRemainder };
 std::vector<int> allocation_from_weights(const std::vector<double>& weights,
                                          int budget, RoundingMode mode);
 
+/// The decision policy's weights -> allocation map: allocation_from_weights,
+/// then enforce_minimum_allocation when min_per_type > 0 and the budget
+/// can fund min_per_type for every entry (otherwise the floor is skipped).
+/// DdpgAgent, the collection loops and serve::ActorSnapshot all map
+/// through it.
+std::vector<int> allocation_with_minimum(const std::vector<double>& weights,
+                                         int budget, RoundingMode mode,
+                                         int min_per_type);
+
 /// Inverse embedding used when storing integer allocations in the replay
 /// buffer: w_j = m_j / C.
 std::vector<double> weights_from_allocation(const std::vector<int>& allocation,

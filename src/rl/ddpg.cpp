@@ -184,27 +184,18 @@ std::vector<double> DdpgAgent::act_greedy(
   return actor_.predict_one(normalize_state(state));
 }
 
-std::vector<int> DdpgAgent::weights_to_allocation(
-    const std::vector<double>& weights) const {
-  std::vector<int> allocation =
-      allocation_from_weights(weights, consumer_budget_, config_.rounding);
-  if (config_.min_consumers_per_type > 0 &&
-      consumer_budget_ >= config_.min_consumers_per_type *
-                              static_cast<int>(action_dim_)) {
-    enforce_minimum_allocation(allocation, config_.min_consumers_per_type,
-                               consumer_budget_);
-  }
-  return allocation;
-}
-
 std::vector<int> DdpgAgent::act_allocation(const std::vector<double>& state,
                                            bool explore) {
-  return weights_to_allocation(act(state, explore));
+  return allocation_with_minimum(act(state, explore), consumer_budget_,
+                                 config_.rounding,
+                                 config_.min_consumers_per_type);
 }
 
 std::vector<int> DdpgAgent::act_allocation_greedy(
     const std::vector<double>& state) const {
-  return weights_to_allocation(act_greedy(state));
+  return allocation_with_minimum(act_greedy(state), consumer_budget_,
+                                 config_.rounding,
+                                 config_.min_consumers_per_type);
 }
 
 BehaviorSnapshot DdpgAgent::behavior_snapshot() const {
@@ -292,16 +283,23 @@ ExplorationSnapshot DdpgAgent::snapshot_exploration(Rng& rng) const {
   return behavior_snapshot().instantiate(rng);
 }
 
+void apply_state_normalizer(const double* state,
+                            const std::vector<double>& shift,
+                            const std::vector<double>& scale,
+                            bool log_state_features, double* out) {
+  for (std::size_t j = 0; j < shift.size(); ++j) {
+    const double feature =
+        log_state_features ? std::log1p(std::max(state[j], 0.0)) : state[j];
+    out[j] = (feature - shift[j]) / scale[j];
+  }
+}
+
 const std::vector<double>& ExplorationSnapshot::normalize(
     const std::vector<double>& state) {
   MIRAS_EXPECTS(state.size() == shift_.size());
   norm_.resize(state.size());
-  for (std::size_t j = 0; j < state.size(); ++j) {
-    const double feature = log_state_features_
-                               ? std::log1p(std::max(state[j], 0.0))
-                               : state[j];
-    norm_[j] = (feature - shift_[j]) / scale_[j];
-  }
+  apply_state_normalizer(state.data(), shift_, scale_, log_state_features_,
+                         norm_.data());
   return norm_;
 }
 

@@ -119,6 +119,17 @@ struct DdpgConfig {
 
 class DdpgAgent;
 
+/// The resolved state normaliser of every frozen decision path
+/// (ExplorationSnapshot, serve::ActorSnapshot): out[j] = (f_j - shift[j]) /
+/// scale[j] over the features f_j = log1p(max(state[j], 0)) when
+/// `log_state_features`, else state[j]. Under the affine map
+/// BehaviorSnapshot resolves it is bit-identical to the agent's own
+/// normalisation. `state` and `out` hold shift.size() values.
+void apply_state_normalizer(const double* state,
+                            const std::vector<double>& shift,
+                            const std::vector<double>& scale,
+                            bool log_state_features, double* out);
+
 /// Frozen view of a DdpgAgent's exploring behaviour, built by
 /// DdpgAgent::snapshot_exploration() for one collection episode. It owns a
 /// copy of the (perturbed) policy network and the resolved normaliser, so
@@ -314,8 +325,6 @@ class DdpgAgent {
   }
   void mature_front_transition();
   std::vector<double> normalize_state(const std::vector<double>& state) const;
-  std::vector<int> weights_to_allocation(
-      const std::vector<double>& weights) const;
   std::vector<double> random_simplex_action();
   std::vector<double> proportional_demo_action(
       const std::vector<double>& state);

@@ -89,6 +89,7 @@ std::size_t BatchServer::pick_lane() {
 std::uint64_t BatchServer::decide(const std::vector<double>& state,
                                   std::vector<double>& weights_out) {
   MIRAS_EXPECTS(state.size() == servable_.state_dim());
+  require_finite_state(state);
   Lane& lane = *lanes_[pick_lane()];
   lane.depth.fetch_add(1, std::memory_order_relaxed);
   std::size_t idx;

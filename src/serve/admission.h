@@ -104,8 +104,10 @@ class BatchServer {
   /// batch it lands in, writes the simplex weights into `weights_out`
   /// (resized), and returns the snapshot version that served it.
   /// Bit-identical to ActorServable::decide on the same state and version,
-  /// at every lane count. Throws std::runtime_error once the server is
-  /// stopped. Safe from any number of threads.
+  /// at every lane count. Throws std::invalid_argument on a non-finite
+  /// state before admission (nothing is queued, served() does not move)
+  /// and std::runtime_error once the server is stopped. Safe from any
+  /// number of threads.
   std::uint64_t decide(const std::vector<double>& state,
                        std::vector<double>& weights_out);
 

@@ -30,11 +30,15 @@ ActorSnapshot ActorSnapshot::from_export(const rl::ServableExport& exported) {
 }
 
 void ActorSnapshot::normalize_into(const double* state, double* out) const {
-  const std::size_t dim = shift.size();
-  for (std::size_t j = 0; j < dim; ++j) {
-    const double feature =
-        log_state_features ? std::log1p(std::max(state[j], 0.0)) : state[j];
-    out[j] = (feature - shift[j]) / scale[j];
+  rl::apply_state_normalizer(state, shift, scale, log_state_features, out);
+}
+
+void require_finite_state(const std::vector<double>& state) {
+  for (std::size_t j = 0; j < state.size(); ++j) {
+    if (!std::isfinite(state[j]))
+      throw std::invalid_argument(
+          "serve: non-finite observation at state index " +
+          std::to_string(j));
   }
 }
 
@@ -42,6 +46,7 @@ void ActorSnapshot::decide(const std::vector<double>& state,
                            DecisionScratch& scratch,
                            std::vector<double>& weights_out) const {
   MIRAS_EXPECTS(state.size() == state_dim());
+  require_finite_state(state);
   scratch.norm.resize(state.size());
   normalize_into(state.data(), scratch.norm.data());
   policy.predict_one(scratch.norm, scratch.ws, weights_out);
@@ -51,17 +56,8 @@ std::vector<int> ActorSnapshot::decide_allocation(
     const std::vector<double>& state, DecisionScratch& scratch) const {
   std::vector<double> weights;
   decide(state, scratch, weights);
-  // Mirrors DdpgAgent::weights_to_allocation so allocations match
-  // act_allocation_greedy exactly.
-  std::vector<int> allocation =
-      rl::allocation_from_weights(weights, consumer_budget, rounding);
-  if (min_consumers_per_type > 0 &&
-      consumer_budget >=
-          min_consumers_per_type * static_cast<int>(action_dim)) {
-    rl::enforce_minimum_allocation(allocation, min_consumers_per_type,
-                                   consumer_budget);
-  }
-  return allocation;
+  return rl::allocation_with_minimum(weights, consumer_budget, rounding,
+                                     min_consumers_per_type);
 }
 
 ActorServable::ActorServable(ActorSnapshot snapshot) {

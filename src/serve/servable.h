@@ -27,7 +27,15 @@
 //   ActorSnapshot::decide(s)            == DdpgAgent::act_greedy(s) and
 //   ActorSnapshot::decide_allocation(s) == DdpgAgent::act_allocation_greedy(s)
 // bit for bit — the snapshot resolves the normaliser to the same affine map
-// BehaviorSnapshot does and mirrors weights_to_allocation exactly.
+// BehaviorSnapshot does, and both paths normalise and map weights through
+// the same functions (rl::apply_state_normalizer,
+// rl::allocation_with_minimum).
+//
+// Non-finite observations are refused: every decision entry point throws
+// std::invalid_argument on a NaN or ±Inf state before any work or
+// admission, an error distinct from the std::runtime_error of a stopped
+// BatchServer. Left through, log1p(max(NaN, 0)) is NaN and the request
+// would come back as NaN weights with no error.
 //
 // Persistence: save_servable()/load_servable() wrap rl::ServableExport in a
 // single-section persist checkpoint container. MirasAgent::save_checkpoint
@@ -88,15 +96,19 @@ struct ActorSnapshot {
   void normalize_into(const double* state, double* out) const;
 
   /// Greedy simplex weights for `state`; allocation-free given a scratch.
+  /// Throws std::invalid_argument on a non-finite state.
   void decide(const std::vector<double>& state, DecisionScratch& scratch,
               std::vector<double>& weights_out) const;
 
-  /// decide() mapped to an integer allocation under the budget; mirrors
+  /// decide() mapped to an integer allocation under the budget; equals
   /// DdpgAgent::act_allocation_greedy bit for bit. Allocates (integer
   /// allocations are not on the hot batched path).
   std::vector<int> decide_allocation(const std::vector<double>& state,
                                      DecisionScratch& scratch) const;
 };
+
+/// Throws std::invalid_argument unless every entry of `state` is finite.
+void require_finite_state(const std::vector<double>& state);
 
 /// Publication point between a trainer (or checkpoint loader) and any
 /// number of serving threads. One writer publishes; readers acquire pins.
@@ -131,7 +143,8 @@ class ActorServable {
   void refresh(std::shared_ptr<const ActorSnapshot>& pin) const;
 
   /// Convenience single-shot decision through the current snapshot.
-  /// Returns the version that served the request.
+  /// Returns the version that served the request. Throws
+  /// std::invalid_argument on a non-finite state.
   std::uint64_t decide(const std::vector<double>& state,
                        DecisionScratch& scratch,
                        std::vector<double>& weights_out) const;

@@ -20,7 +20,8 @@ TEST(Activation, NamesRoundTrip) {
 
 TEST(Activation, ReluValues) {
   const Tensor pre = Tensor::from_rows({{-1.0, 0.0, 2.5}});
-  const Tensor post = activate(Activation::kRelu, pre);
+  Tensor post;
+  activate_into(Activation::kRelu, pre, post);
   EXPECT_DOUBLE_EQ(post(0, 0), 0.0);
   EXPECT_DOUBLE_EQ(post(0, 1), 0.0);
   EXPECT_DOUBLE_EQ(post(0, 2), 2.5);
@@ -28,17 +29,19 @@ TEST(Activation, ReluValues) {
 
 TEST(Activation, TanhAndSigmoidValues) {
   const Tensor pre = Tensor::from_rows({{0.0, 1.0}});
-  const Tensor tanh_out = activate(Activation::kTanh, pre);
+  Tensor tanh_out, sig;
+  activate_into(Activation::kTanh, pre, tanh_out);
   EXPECT_DOUBLE_EQ(tanh_out(0, 0), 0.0);
   EXPECT_NEAR(tanh_out(0, 1), std::tanh(1.0), 1e-12);
-  const Tensor sig = activate(Activation::kSigmoid, pre);
+  activate_into(Activation::kSigmoid, pre, sig);
   EXPECT_DOUBLE_EQ(sig(0, 0), 0.5);
   EXPECT_NEAR(sig(0, 1), 1.0 / (1.0 + std::exp(-1.0)), 1e-12);
 }
 
 TEST(Activation, SoftmaxRowsSumToOne) {
   const Tensor pre = Tensor::from_rows({{1.0, 2.0, 3.0}, {-5.0, 0.0, 5.0}});
-  const Tensor post = activate(Activation::kSoftmax, pre);
+  Tensor post;
+  activate_into(Activation::kSoftmax, pre, post);
   for (std::size_t r = 0; r < post.rows(); ++r) {
     double sum = 0.0;
     for (std::size_t c = 0; c < post.cols(); ++c) {
@@ -52,21 +55,30 @@ TEST(Activation, SoftmaxRowsSumToOne) {
 TEST(Activation, SoftmaxShiftInvariant) {
   const Tensor a = Tensor::from_rows({{1.0, 2.0, 3.0}});
   const Tensor b = Tensor::from_rows({{101.0, 102.0, 103.0}});
-  const Tensor pa = activate(Activation::kSoftmax, a);
-  const Tensor pb = activate(Activation::kSoftmax, b);
+  Tensor pa, pb;
+  activate_into(Activation::kSoftmax, a, pa);
+  activate_into(Activation::kSoftmax, b, pb);
   for (std::size_t c = 0; c < 3; ++c) EXPECT_NEAR(pa(0, c), pb(0, c), 1e-12);
 }
 
 TEST(Activation, SoftmaxNumericallyStableForLargeLogits) {
   const Tensor pre = Tensor::from_rows({{1000.0, 999.0}});
-  const Tensor post = activate(Activation::kSoftmax, pre);
+  Tensor post;
+  activate_into(Activation::kSoftmax, pre, post);
   EXPECT_TRUE(std::isfinite(post(0, 0)));
   EXPECT_NEAR(post(0, 0) + post(0, 1), 1.0, 1e-12);
   EXPECT_GT(post(0, 0), post(0, 1));
 }
 
 // Finite-difference check of every activation's backward pass. The scalar
-// function is f(pre) = sum(weights .* activate(pre)) for fixed weights.
+// function is f(pre) = sum(weights .* activation(pre)) for fixed weights.
+double weighted_activation(Activation act, const Tensor& pre,
+                           const Tensor& weights) {
+  Tensor post;
+  activate_into(act, pre, post);
+  return weighted_sum(post, weights);
+}
+
 class ActivationGradient : public ::testing::TestWithParam<Activation> {};
 
 TEST_P(ActivationGradient, MatchesFiniteDifferences) {
@@ -77,10 +89,11 @@ TEST_P(ActivationGradient, MatchesFiniteDifferences) {
       Tensor::from_rows({{1.0, -2.0, 0.5}, {0.7, 1.3, -0.2}});
 
   auto f = [&](const Tensor& x) {
-    return weighted_sum(activate(act, x), weights);
+    return weighted_activation(act, x, weights);
   };
-  const Tensor post = activate(act, pre);
-  const Tensor analytic = activation_backward(act, pre, post, weights);
+  Tensor post, analytic;
+  activate_into(act, pre, post);
+  activation_backward_into(act, pre, post, weights, analytic);
   EXPECT_LT(max_gradient_error(f, pre, analytic), 1e-5)
       << "activation: " << activation_name(act);
 }
@@ -99,11 +112,11 @@ TEST(Activation, ReluGradientAwayFromKink) {
   const Tensor pre = Tensor::from_rows({{0.5, -0.5, 2.0, -2.0}});
   const Tensor weights = Tensor::from_rows({{1.0, 1.0, -1.0, 3.0}});
   auto f = [&](const Tensor& x) {
-    return weighted_sum(activate(Activation::kRelu, x), weights);
+    return weighted_activation(Activation::kRelu, x, weights);
   };
-  const Tensor post = activate(Activation::kRelu, pre);
-  const Tensor analytic =
-      activation_backward(Activation::kRelu, pre, post, weights);
+  Tensor post, analytic;
+  activate_into(Activation::kRelu, pre, post);
+  activation_backward_into(Activation::kRelu, pre, post, weights, analytic);
   EXPECT_LT(max_gradient_error(f, pre, analytic), 1e-6);
 }
 

@@ -123,16 +123,19 @@ TEST(BatchedInference, ForwardBackwardScratchReuseMatchesFreshNetwork) {
   // Dirty the pass with an unrelated block, then train on `b`.
   nn::TrainPass reused;
   nn::prepare_pass(net.layers(), reused);
-  nn::mse_loss_into(net.forward_shard(a, reused), target, grad);
+  nn::mse_loss_partial_into(net.forward_shard(a, reused), target,
+                            target.size(), grad);
   (void)net.backward_shard(a, grad, reused);
   nn::prepare_pass(net.layers(), reused);
-  nn::mse_loss_into(net.forward_shard(b, reused), target, grad);
+  nn::mse_loss_partial_into(net.forward_shard(b, reused), target,
+                            target.size(), grad);
   const nn::Tensor& grad_in_reused = net.backward_shard(b, grad, reused);
 
   nn::TrainPass fresh;
   nn::prepare_pass(net.layers(), fresh);
   nn::Tensor fresh_grad;
-  nn::mse_loss_into(net.forward_shard(b, fresh), target, fresh_grad);
+  nn::mse_loss_partial_into(net.forward_shard(b, fresh), target,
+                            target.size(), fresh_grad);
   const nn::Tensor& grad_in_fresh = net.backward_shard(b, fresh_grad, fresh);
 
   ASSERT_EQ(grad_in_reused.size(), grad_in_fresh.size());

@@ -1,26 +1,17 @@
-// Parity and determinism tests for the matmul seam and the microkernels
+// Parity and determinism tests for the matmul seam and the single-row GEMV
 // (nn/kernels.h).
 //
 // The load-bearing properties:
-//  - In the default build every product of the seam — C = A·B with its
-//    fused bias/ReLU epilogue, C = Aᵀ·B plain and accumulating, C = A·Bᵀ
-//    with its fused ReLU mask — equals a naive ascending-k loop BIT FOR BIT
-//    at both instantiations (2 and 4 doubles per vector), on ragged shapes
-//    and on inputs holding exact zeros and -0.0. Bits are compared as
-//    integers: EXPECT_EQ on doubles would let -0.0 pass for +0.0.
-//  - The forward dispatch is bit-identical to the scalar GEMV
-//    row by row, so every golden file and bit-identity suite is untouched
-//    by the kernel layer existing at all.
-//  - gemv_lanes / gemm_lanes2 share ONE per-element reduction order (the
-//    four-lane split), so under MIRAS_NATIVE batched inference stays
-//    bitwise equal to row-at-a-time inference (the tensor.h invariant).
-//  - The lane kernels are deterministic per build and their per-column
-//    reduction order does not depend on register tiling, so results are a
-//    function of (k) alone, never of output width or batch size.
-//  - Lane results differ from the ascending-order scalar results by at
-//    most the reassociation error bound (~1 ulp per accumulation).
+//  - Every product of the seam — C = A·B with its fused bias/ReLU
+//    epilogue, C = Aᵀ·B, C = A·Bᵀ with its fused ReLU mask — equals a
+//    naive ascending-k loop BIT FOR BIT at every instantiation (2, 4 and 8
+//    doubles per vector), on ragged shapes and on inputs holding exact
+//    zeros and -0.0. Bits are compared as integers: EXPECT_EQ on doubles
+//    would let -0.0 pass for +0.0.
+//  - The forward dispatch is bit-identical to the GEMV row by row, so
+//    batched inference equals row-at-a-time inference bitwise (the
+//    tensor.h invariant batched serving relies on).
 #include <bit>
-#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -35,10 +26,7 @@ namespace miras::nn {
 namespace {
 
 using kern::gemm;
-using kern::gemm_lanes2;
 using kern::gemv;
-using kern::gemv_lanes;
-using kern::gemv_scalar;
 
 struct Shape {
   std::size_t m, k, n;
@@ -47,8 +35,8 @@ struct Shape {
 // Bitwise equality as integers: EXPECT_EQ on doubles equates -0.0 and +0.0.
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
-// Ragged shapes exercising every tail path: k%4 lanes remainders, n%tile
-// column tails, m%8 and m%2 row tails, degenerate singletons.
+// Ragged shapes exercising every tail path: column-strip remainders, row
+// tile tails, degenerate singletons.
 const Shape kShapes[] = {
     {1, 1, 1},   {1, 3, 5},   {1, 4, 8},    {1, 5, 7},   {1, 129, 40},
     {2, 8, 16},  {3, 5, 7},   {4, 17, 9},   {5, 31, 33}, {7, 64, 12},
@@ -65,42 +53,22 @@ std::vector<double> random_matrix(std::size_t rows, std::size_t cols,
   return m;
 }
 
-// Bound on the error introduced by reassociating one dot product of length
-// k: a small multiple of eps per accumulation step, scaled by the sum of
-// absolute products.
-double reassociation_bound(const double* a, const double* w, std::size_t k,
-                           std::size_t j, std::size_t n) {
-  double abs_sum = 0.0;
-  for (std::size_t p = 0; p < k; ++p) abs_sum += std::abs(a[p] * w[p * n + j]);
-  const double eps = std::numeric_limits<double>::epsilon();
-  return 4.0 * static_cast<double>(k + 1) * eps * abs_sum + 1e-300;
-}
-
 TEST(Kernels, DispatchMatchesScalarBitwiseInDefaultBuild) {
-  if (kern::kNativeKernels) GTEST_SKIP() << "native-kernel build";
   Rng rng(11);
   for (const Shape& s : kShapes) {
     const auto a = random_matrix(s.m, s.k, rng);
     const auto w = random_matrix(s.k, s.n, rng);
-    std::vector<double> via_dispatch(s.m * s.n), via_scalar(s.m * s.n);
+    std::vector<double> via_dispatch(s.m * s.n), via_gemv(s.m * s.n);
     gemm(a.data(), w.data(), via_dispatch.data(), s.m, s.k, s.n);
     for (std::size_t r = 0; r < s.m; ++r)
-      gemv_scalar(a.data() + r * s.k, w.data(), via_scalar.data() + r * s.n,
-                  s.k, s.n);
+      gemv(a.data() + r * s.k, w.data(), via_gemv.data() + r * s.n, s.k,
+           s.n);
     for (std::size_t i = 0; i < via_dispatch.size(); ++i)
-      EXPECT_EQ(bits(via_dispatch[i]), bits(via_scalar[i])) << "shape m=" << s.m;
-    // And the GEMV dispatcher on each row individually.
-    for (std::size_t r = 0; r < s.m; ++r) {
-      std::vector<double> row(s.n);
-      gemv(a.data() + r * s.k, w.data(), row.data(), s.k, s.n);
-      for (std::size_t j = 0; j < s.n; ++j)
-        EXPECT_EQ(bits(row[j]), bits(via_scalar[r * s.n + j]));
-    }
+      EXPECT_EQ(bits(via_dispatch[i]), bits(via_gemv[i])) << "shape m=" << s.m;
   }
 }
 
 TEST(Kernels, SeamGemmMatchesRowwiseGemvBitwise) {
-  if (kern::kNativeKernels) GTEST_SKIP() << "native-kernel build";
   Rng rng(12);
   for (const kern::Isa isa :
        {kern::Isa::kBaseline, kern::Isa::kAvx2, kern::Isa::kAvx512}) {
@@ -111,7 +79,7 @@ TEST(Kernels, SeamGemmMatchesRowwiseGemvBitwise) {
       std::vector<double> blocked(s.m * s.n), rowwise(s.n);
       kern::gemm_nn(isa, a.data(), w.data(), blocked.data(), s.m, s.k, s.n);
       for (std::size_t r = 0; r < s.m; ++r) {
-        gemv_scalar(a.data() + r * s.k, w.data(), rowwise.data(), s.k, s.n);
+        gemv(a.data() + r * s.k, w.data(), rowwise.data(), s.k, s.n);
         for (std::size_t j = 0; j < s.n; ++j)
           EXPECT_EQ(bits(blocked[r * s.n + j]), bits(rowwise[j]));
       }
@@ -119,84 +87,9 @@ TEST(Kernels, SeamGemmMatchesRowwiseGemvBitwise) {
   }
 }
 
-TEST(Kernels, LanesGemmRowsMatchLanesGemvBitwise) {
-  // The within-build batched ≡ single invariant for the native kernels:
-  // every row of gemm_lanes2 must equal gemv_lanes on that row alone.
-  Rng rng(13);
-  for (const Shape& s : kShapes) {
-    const auto a = random_matrix(s.m, s.k, rng);
-    const auto w = random_matrix(s.k, s.n, rng);
-    std::vector<double> batched(s.m * s.n), single(s.n);
-    gemm_lanes2(a.data(), w.data(), batched.data(), s.m, s.k, s.n);
-    for (std::size_t r = 0; r < s.m; ++r) {
-      gemv_lanes(a.data() + r * s.k, w.data(), single.data(), s.k, s.n);
-      for (std::size_t j = 0; j < s.n; ++j)
-        EXPECT_EQ(bits(batched[r * s.n + j]), bits(single[j]))
-            << "m=" << s.m << " k=" << s.k << " n=" << s.n << " row " << r;
-    }
-  }
-}
-
-TEST(Kernels, LanesReductionOrderIndependentOfColumnTiling) {
-  // Append extra columns to W: the first n columns land in different
-  // register tiles, but each column's reduction order is a function of k
-  // alone, so their results must not move.
-  Rng rng(14);
-  for (std::size_t k : {1u, 3u, 4u, 7u, 31u, 128u, 129u}) {
-    for (std::size_t n : {1u, 5u, 8u, 13u}) {
-      const std::size_t wide = n + 5;
-      const auto a = random_matrix(1, k, rng);
-      const auto w_wide = random_matrix(k, wide, rng);
-      std::vector<double> w_narrow(k * n);
-      for (std::size_t p = 0; p < k; ++p)
-        for (std::size_t j = 0; j < n; ++j)
-          w_narrow[p * n + j] = w_wide[p * wide + j];
-      std::vector<double> out_narrow(n), out_wide(wide);
-      gemv_lanes(a.data(), w_narrow.data(), out_narrow.data(), k, n);
-      gemv_lanes(a.data(), w_wide.data(), out_wide.data(), k, wide);
-      for (std::size_t j = 0; j < n; ++j)
-        EXPECT_EQ(bits(out_narrow[j]), bits(out_wide[j]))
-            << "k=" << k << " n=" << n;
-    }
-  }
-}
-
-TEST(Kernels, LanesDeterministicAcrossCalls) {
-  Rng rng(15);
-  const std::size_t k = 129, n = 17;
-  const auto a = random_matrix(1, k, rng);
-  const auto w = random_matrix(k, n, rng);
-  std::vector<double> first(n), again(n);
-  gemv_lanes(a.data(), w.data(), first.data(), k, n);
-  for (int rep = 0; rep < 8; ++rep) {
-    gemv_lanes(a.data(), w.data(), again.data(), k, n);
-    for (std::size_t j = 0; j < n; ++j)
-      EXPECT_EQ(bits(first[j]), bits(again[j]));
-  }
-}
-
-TEST(Kernels, LanesWithinReassociationBoundOfScalar) {
-  Rng rng(16);
-  for (const Shape& s : kShapes) {
-    const auto a = random_matrix(s.m, s.k, rng);
-    const auto w = random_matrix(s.k, s.n, rng);
-    std::vector<double> lanes(s.m * s.n), scalar(s.n);
-    gemm_lanes2(a.data(), w.data(), lanes.data(), s.m, s.k, s.n);
-    for (std::size_t r = 0; r < s.m; ++r) {
-      gemv_scalar(a.data() + r * s.k, w.data(), scalar.data(), s.k, s.n);
-      for (std::size_t j = 0; j < s.n; ++j) {
-        const double bound =
-            reassociation_bound(a.data() + r * s.k, w.data(), s.k, j, s.n);
-        EXPECT_LE(std::abs(lanes[r * s.n + j] - scalar[j]), bound)
-            << "m=" << s.m << " k=" << s.k << " n=" << s.n;
-      }
-    }
-  }
-}
-
 TEST(Kernels, MatmulIntoDispatchesGemvForSingleRow) {
-  // Tensor::matmul_into with m == 1 must agree bitwise with the GEMV
-  // dispatcher — the serving fast path relies on it.
+  // Tensor::matmul_into with m == 1 must agree bitwise with the GEMV —
+  // the serving fast path relies on it.
   Rng rng(17);
   const std::size_t k = 33, n = 12;
   const auto a = random_matrix(1, k, rng);
@@ -271,7 +164,6 @@ std::vector<double> naive_nt(const std::vector<double>& a,
 class KernelSeam : public ::testing::TestWithParam<kern::Isa> {
  protected:
   void SetUp() override {
-    if (kern::kNativeKernels) GTEST_SKIP() << "native-kernel build";
     if (!kern::isa_supported(GetParam()))
       GTEST_SKIP() << "this CPU lacks the instruction set";
   }

@@ -159,7 +159,7 @@ void naive_forward(const nn::DenseLayer& layer, const nn::Tensor& x,
         acc = acc + x(r, p) * layer.weights()(p, j);
       pre(r, j) = acc + layer.bias()(0, j);
     }
-  post = nn::activate(layer.activation(), pre);
+  nn::activate_into(layer.activation(), pre, post);
 }
 
 // Given the layer input x and dL/d(pre) g: dW = xᵀ·g, db = the column sums
@@ -221,15 +221,16 @@ nn::Tensor naive_backprop(const std::vector<nn::DenseLayer>& layers,
                           const nn::Tensor& grad_output,
                           ReferenceGrads& ref) {
   const std::size_t top = layers.size() - 1;
-  nn::Tensor g = nn::activation_backward(layers[top].activation(), pre[top],
-                                         post[top], grad_output);
+  nn::Tensor g;
+  nn::activation_backward_into(layers[top].activation(), pre[top], post[top],
+                               grad_output, g);
   for (std::size_t l = top;; --l) {
     NaiveGrads grads = naive_backward(layers[l], inputs[l], g);
     ref.weight[l] = std::move(grads.weight);
     ref.bias[l] = std::move(grads.bias);
     if (l == bottom) return std::move(grads.input);
-    g = nn::activation_backward(layers[l - 1].activation(), pre[l - 1],
-                                post[l - 1], grads.input);
+    nn::activation_backward_into(layers[l - 1].activation(), pre[l - 1],
+                                 post[l - 1], grads.input, g);
   }
 }
 
@@ -242,7 +243,8 @@ ReferenceGrads naive_network_grads(const nn::Network& net, const nn::Tensor& x,
     naive_forward(net.layer(l), inputs[l], pre[l], post[l]);
   }
   nn::Tensor loss_grad;
-  nn::mse_loss_into(post.back(), target, loss_grad);
+  nn::mse_loss_partial_into(post.back(), target, post.back().size(),
+                            loss_grad);
   ReferenceGrads ref{std::vector<nn::Tensor>(n), std::vector<nn::Tensor>(n),
                      nn::Tensor()};
   ref.input =
@@ -271,15 +273,17 @@ ReferenceGrads naive_critic_grads(const nn::CriticNetwork& critic,
     naive_forward(layers[l], inputs[l], pre[l], post[l]);
   }
   nn::Tensor loss_grad;
-  nn::mse_loss_into(post.back(), target, loss_grad);
+  nn::mse_loss_partial_into(post.back(), target, post.back().size(),
+                            loss_grad);
   ReferenceGrads ref{std::vector<nn::Tensor>(n), std::vector<nn::Tensor>(n),
                      nn::Tensor()};
   // Down to the joint layer's [h1 || a] input, then split its columns.
   const nn::Tensor grad_concat =
       naive_backprop(layers, 1, inputs, pre, post, loss_grad, ref);
   ref.input = columns(grad_concat, h1, h1 + critic.action_dim());
-  const nn::Tensor grad_h1 = nn::activation_backward(
-      layers[0].activation(), pre[0], post[0], columns(grad_concat, 0, h1));
+  nn::Tensor grad_h1;
+  nn::activation_backward_into(layers[0].activation(), pre[0], post[0],
+                               columns(grad_concat, 0, h1), grad_h1);
   NaiveGrads grads0 = naive_backward(layers[0], states, grad_h1);
   ref.weight[0] = std::move(grads0.weight);
   ref.bias[0] = std::move(grads0.bias);
@@ -369,7 +373,9 @@ TEST(ParallelTraining, ShardedNetworkBackwardMatchesSerial) {
     expect_matches_reference(grad_input, ref.input, true);
 
     const auto f = [&](const nn::Tensor& xx) {
-      return nn::mse_loss(net.predict(xx), target).value;
+      const nn::Tensor y = net.predict(xx);
+      nn::Tensor g;
+      return nn::mse_loss_partial_into(y, target, y.size(), g);
     };
     // The mean-loss scale (1 / (B * out_dim)) shrinks the true gradients,
     // so finite-difference roundoff needs the looser relative bound.
@@ -424,7 +430,9 @@ TEST(ParallelTraining, ShardedCriticBackwardMatchesSerial) {
     expect_matches_reference(grad_actions, ref.input, true);
 
     const auto f = [&](const nn::Tensor& a) {
-      return nn::mse_loss(critic.predict(states, a), target).value;
+      const nn::Tensor q = critic.predict(states, a);
+      nn::Tensor g;
+      return nn::mse_loss_partial_into(q, target, q.size(), g);
     };
     EXPECT_LT(nn::max_gradient_error(f, actions, grad_actions), 1e-5);
   }

@@ -3,6 +3,8 @@
 // property, and checkpoint round trips.
 #include <atomic>
 #include <cstdio>
+#include <limits>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -467,6 +469,67 @@ TEST(BatchServer, StopDrainsAdmittedRequestsThenRejectsNewOnes) {
   EXPECT_THROW(server.decide(states[0], weights), std::runtime_error);
   EXPECT_EQ(server.dropped(), 1u);
   server.stop();  // idempotent
+}
+
+// Non-finite observations are refused at every decision entry point with
+// std::invalid_argument (not the stopped server's std::runtime_error),
+// before admission: nothing is queued or counted, and finite requests
+// racing them are answered exactly as if they were alone.
+TEST(BatchServer, RejectsNonFiniteObservationsBeforeAdmission) {
+  const rl::DdpgAgent agent = make_seeded_agent();
+  ActorServable servable(ActorSnapshot::from_agent(agent));
+  AdmissionConfig config;
+  config.lanes = 2;
+  BatchServer server(servable, config);
+
+  const std::vector<double> finite = make_states(1, 23)[0];
+  std::vector<std::vector<double>> hostile(3, finite);
+  hostile[0][2] = std::numeric_limits<double>::quiet_NaN();
+  hostile[1][5] = std::numeric_limits<double>::infinity();
+  hostile[2][0] = -std::numeric_limits<double>::infinity();
+
+  DecisionScratch scratch;
+  std::vector<double> expected, weights;
+  servable.decide(finite, scratch, expected);
+  const std::shared_ptr<const ActorSnapshot> snap = servable.acquire();
+  for (const auto& state : hostile) {
+    EXPECT_THROW(servable.decide(state, scratch, weights),
+                 std::invalid_argument);
+    EXPECT_THROW(snap->decide_allocation(state, scratch),
+                 std::invalid_argument);
+    EXPECT_THROW(server.decide(state, weights), std::invalid_argument);
+  }
+  EXPECT_EQ(server.served(), 0u);
+
+  // Hostile and finite clients race through the same server.
+  constexpr int kRounds = 50;
+  std::atomic<int> refused{0}, mismatched{0};
+  std::vector<std::thread> clients;
+  for (const auto& state : hostile) {
+    clients.emplace_back([&, state] {
+      std::vector<double> out;
+      for (int i = 0; i < kRounds; ++i) {
+        try {
+          server.decide(state, out);
+        } catch (const std::invalid_argument&) {
+          ++refused;
+        }
+      }
+    });
+  }
+  clients.emplace_back([&] {
+    std::vector<double> out;
+    for (int i = 0; i < kRounds; ++i) {
+      server.decide(finite, out);
+      if (out != expected) ++mismatched;
+    }
+  });
+  for (auto& t : clients) t.join();
+  server.stop();
+  EXPECT_EQ(refused.load(), 3 * kRounds);
+  EXPECT_EQ(mismatched.load(), 0);
+  EXPECT_EQ(server.served(), static_cast<std::uint64_t>(kRounds));
+  EXPECT_EQ(server.dropped(), 0u);
 }
 
 TEST(ServeCheckpoint, StandaloneServableRoundTripsBitwise) {

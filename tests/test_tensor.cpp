@@ -145,13 +145,6 @@ TEST(Tensor, ColumnSums) {
   EXPECT_DOUBLE_EQ(sums(0, 1), 6.0);
 }
 
-TEST(Tensor, Apply) {
-  Tensor t = Tensor::from_rows({{3.0, -4.0}});
-  t.apply([](double x) { return x * x; });
-  EXPECT_DOUBLE_EQ(t(0, 0), 9.0);
-  EXPECT_DOUBLE_EQ(t(0, 1), 16.0);
-}
-
 TEST(Tensor, FillOverwrites) {
   Tensor t(2, 2, 1.0);
   t.fill(7.0);

@@ -6,8 +6,7 @@
 // vs shards, serial vs sharded, member vs shard); they would keep passing
 // if a kernel change moved every bit consistently. These digests were
 // recorded once and pin the training arithmetic itself: a kernel, fusion
-// or optimizer rewrite must leave them unmodified. Default build only —
-// MIRAS_NATIVE reorders reductions and contracts FMAs by design.
+// or optimizer rewrite must leave them unmodified.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -18,7 +17,6 @@
 
 #include "common/rng.h"
 #include "envmodel/dynamics_model.h"
-#include "nn/kernels.h"
 #include "nn/serialize.h"
 #include "persist/binary_io.h"
 #include "persist/checkpoint.h"
@@ -113,15 +111,7 @@ void expect_digests(const std::vector<std::string>& got,
     EXPECT_EQ(got[i], want[i]) << names[i];
 }
 
-class TrainingGolden : public ::testing::Test {
- protected:
-  void SetUp() override {
-    if (nn::kern::kNativeKernels)
-      GTEST_SKIP() << "native-kernel build: reductions reordered by design";
-  }
-};
-
-TEST_F(TrainingGolden, MsdFast64x64) {
+TEST(TrainingGolden, MsdFast64x64) {
   expect_digests(train_agent({"msd_fast", 4, 14, {64, 64}, 5, 0.05, 40}),
                  {"8e52d5b18ebf3022", "ed79f00398e7a37c",
                   "97caf12bd5f0cfb3", "6ccb54a1273184e3",
@@ -129,7 +119,7 @@ TEST_F(TrainingGolden, MsdFast64x64) {
                   "a754dbcb77793456"});
 }
 
-TEST_F(TrainingGolden, MsdPaper3x256) {
+TEST(TrainingGolden, MsdPaper3x256) {
   expect_digests(
       train_agent({"msd_paper", 4, 14, {256, 256, 256}, 5, 0.05, 6}),
       {"f0ebabdcfba33c93", "68e2358b8c9b9a69", "2f214e79fa5b1682",
@@ -137,7 +127,7 @@ TEST_F(TrainingGolden, MsdPaper3x256) {
        "ae1f7f3dc11b56e2"});
 }
 
-TEST_F(TrainingGolden, LigoFast96x96WithEntropy) {
+TEST(TrainingGolden, LigoFast96x96WithEntropy) {
   expect_digests(train_agent({"ligo_fast", 9, 30, {96, 96}, 10, 0.5, 30}),
                  {"47447ff3947716cc", "ecb4448cf4c0b9fa",
                   "be3ad279e0a130ef", "1b80a02327084ca3",
@@ -145,7 +135,7 @@ TEST_F(TrainingGolden, LigoFast96x96WithEntropy) {
                   "d88b41a09eb0965e"});
 }
 
-TEST_F(TrainingGolden, DynamicsModelFitEpoch) {
+TEST(TrainingGolden, DynamicsModelFitEpoch) {
   envmodel::TransitionDataset data(4, 4);
   Rng rng(37);
   for (int i = 0; i < 200; ++i) {
