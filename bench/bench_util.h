@@ -3,6 +3,7 @@
 // corresponding paper figure plots, as aligned tables (and CSV on request).
 #pragma once
 
+#include <algorithm>
 #include <cctype>
 #include <chrono>
 #include <cstdint>
@@ -64,42 +65,69 @@ struct BenchOptions {
   std::size_t dist_kill_after = 0;
 };
 
+inline void print_usage(std::ostream& out, const char* program) {
+  out << "usage: " << program
+      << " [--full] [--csv] [--seed N] [--dataset msd|ligo]"
+         " [--threads N] [--shards N] [--checkpoint-every N]"
+         " [--checkpoint-path FILE] [--resume FILE]"
+         " [--collectors N] [--dist-kill-after N]\n";
+}
+
+/// Parses the flags above. An unknown flag, a flag missing its value or a
+/// non-numeric N prints the usage line to stderr, naming the offender, and
+/// exits with status 2: a mistyped option must not run the default
+/// configuration as if it had been understood.
 inline BenchOptions parse_options(int argc, char** argv) {
   BenchOptions options;
+  const auto reject = [&](const std::string& why) {
+    std::cerr << argv[0] << ": " << why << "\n";
+    print_usage(std::cerr, argv[0]);
+    std::exit(2);
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    const auto value = [&]() -> std::string {
+      if (i + 1 >= argc) reject("option '" + arg + "' needs a value");
+      return argv[++i];
+    };
+    const auto number = [&]() -> std::uint64_t {
+      const std::string text = value();
+      char* end = nullptr;
+      const std::uint64_t n = std::strtoull(text.c_str(), &end, 10);
+      if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])) ||
+          *end != '\0')
+        reject("option '" + arg + "' needs a number, not '" + text + "'");
+      return n;
+    };
     if (arg == "--full") {
       options.full = true;
     } else if (arg == "--csv") {
       options.csv = true;
-    } else if (arg == "--seed" && i + 1 < argc) {
-      options.seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--dataset" && i + 1 < argc) {
-      options.dataset = argv[++i];
-    } else if (arg == "--threads" && i + 1 < argc) {
-      options.threads = std::strtoull(argv[++i], nullptr, 10);
+    } else if (arg == "--seed") {
+      options.seed = number();
+    } else if (arg == "--dataset") {
+      options.dataset = value();
+    } else if (arg == "--threads") {
+      options.threads = number();
       if (options.threads == 0)
         options.threads = common::ThreadPool::hardware_threads();
-    } else if (arg == "--shards" && i + 1 < argc) {
-      options.shards = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
-      if (options.shards < 1) options.shards = 1;
-    } else if (arg == "--checkpoint-every" && i + 1 < argc) {
-      options.checkpoint_every = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--checkpoint-path" && i + 1 < argc) {
-      options.checkpoint_path = argv[++i];
-    } else if (arg == "--resume" && i + 1 < argc) {
-      options.resume = argv[++i];
-    } else if (arg == "--collectors" && i + 1 < argc) {
-      options.collectors = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--dist-kill-after" && i + 1 < argc) {
-      options.dist_kill_after = std::strtoull(argv[++i], nullptr, 10);
+    } else if (arg == "--shards") {
+      options.shards = static_cast<int>(std::max<std::uint64_t>(number(), 1));
+    } else if (arg == "--checkpoint-every") {
+      options.checkpoint_every = number();
+    } else if (arg == "--checkpoint-path") {
+      options.checkpoint_path = value();
+    } else if (arg == "--resume") {
+      options.resume = value();
+    } else if (arg == "--collectors") {
+      options.collectors = number();
+    } else if (arg == "--dist-kill-after") {
+      options.dist_kill_after = number();
     } else if (arg == "--help" || arg == "-h") {
-      std::cout << "usage: " << argv[0]
-                << " [--full] [--csv] [--seed N] [--dataset msd|ligo]"
-                   " [--threads N] [--shards N] [--checkpoint-every N]"
-                   " [--checkpoint-path FILE] [--resume FILE]"
-                   " [--collectors N] [--dist-kill-after N]\n";
+      print_usage(std::cout, argv[0]);
       std::exit(0);
+    } else {
+      reject("unknown option '" + arg + "'");
     }
   }
   return options;

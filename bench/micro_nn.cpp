@@ -229,7 +229,9 @@ void BM_DdpgUpdate(benchmark::State& state) {
                           rng.uniform(0, 50), rng.uniform(0, 50)};
     agent.observe(s, {0.25, 0.25, 0.25, 0.25}, rng.uniform(-5, 0), s);
   }
-  agent.update(1);  // warmup sizes the agent's scratch tensors
+  // Warm-up sizes the agent's scratch tensors. Two updates, so the delayed
+  // actor step (policy_delay = 2) sizes its passes outside the timed loop.
+  agent.update(2);
   const std::uint64_t alloc0 = bench::allocation_mark();
   for (auto _ : state) benchmark::DoNotOptimize(agent.update(1));
   bench::record_bytes_per_op(state, alloc0);

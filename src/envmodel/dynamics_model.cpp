@@ -173,10 +173,12 @@ double DynamicsModel::fit(const TransitionDataset& data) {
           const std::size_t blocks = nn::num_row_blocks(batch_of(p));
           double loss = 0.0;
           for (std::size_t m = 0; m < blocks; ++m) loss += passes_[m].loss;
-          // Fused zero + reduce + clip + step: one serial tail per batch
+          // Fused reduce + clip + step: one serial tail per batch
           // (bit-identical to the unfused sequence, see sharded_adam_step).
-          network_.sharded_update(passes_, blocks, config_.grad_clip,
-                                  optimizer_);
+          nn::name_non_finite("dynamics model", "fit epoch", epoch + 1, [&] {
+            return network_.sharded_update(passes_, blocks, config_.grad_clip,
+                                           optimizer_);
+          });
           epoch_loss += loss;
         });
     final_epoch_loss = epoch_loss / static_cast<double>(num_batches);

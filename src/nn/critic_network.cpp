@@ -133,8 +133,10 @@ void CriticNetwork::backward_shard(const Tensor& states, const Tensor& actions,
 
 double CriticNetwork::sharded_update(const std::vector<TrainPass>& passes,
                                      std::size_t count, double max_norm,
-                                     AdamOptimizer& optimizer) {
-  return sharded_adam_step(passes, count, layers_, max_norm, optimizer);
+                                     AdamOptimizer& optimizer,
+                                     const StepFold& fold) {
+  return sharded_adam_step(passes, count, layers_, max_norm, optimizer,
+                           fold);
 }
 
 std::size_t CriticNetwork::parameter_count() const {
@@ -147,10 +149,6 @@ std::vector<double> CriticNetwork::get_parameters() const {
 
 void CriticNetwork::set_parameters(const std::vector<double>& flat) {
   nn::set_parameters(layers_, flat);
-}
-
-void CriticNetwork::soft_update_from(const CriticNetwork& source, double tau) {
-  soft_update(layers_, source.layers_, tau);
 }
 
 }  // namespace miras::nn

@@ -78,16 +78,16 @@ class CriticNetwork {
                       CriticGrads what = CriticGrads::kAll) const;
 
   /// Fused tail of one sharded update: reduce passes[0..count), clip the
-  /// global gradient norm to `max_norm`, one Adam step (sharded_adam_step,
+  /// global gradient norm to `max_norm`, one Adam step with `fold`'s decay
+  /// and target update in the same walk (sharded_adam_step,
   /// train_shards.h). Returns the pre-clip norm. The reduction overwrites
   /// the layers' gradient buffers, so callers never zero them.
   double sharded_update(const std::vector<TrainPass>& passes,
                         std::size_t count, double max_norm,
-                        AdamOptimizer& optimizer);
+                        AdamOptimizer& optimizer, const StepFold& fold = {});
   std::size_t parameter_count() const;
   std::vector<double> get_parameters() const;
   void set_parameters(const std::vector<double>& flat);
-  void soft_update_from(const CriticNetwork& source, double tau);
 
   std::vector<DenseLayer>& layers() { return layers_; }
   const std::vector<DenseLayer>& layers() const { return layers_; }

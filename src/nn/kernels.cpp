@@ -1,6 +1,7 @@
 #include "nn/kernels.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <type_traits>
@@ -341,8 +342,48 @@ MIRAS_KERNEL void nt(NtArgs g) {
   }
 }
 
+// The optimiser tail (kernels.h AdamArgs): a plain element loop that the
+// compiler vectorises at the entry point's width. This file's
+// -fno-math-errno drops std::sqrt's errno call path, which would otherwise
+// keep the loop scalar.
+// Scalars are copied to locals and the arrays are restrict-qualified, so
+// no store can be taken to alias an operand and the loop vectorises with
+// or without the target.
+template <bool kTarget>
+MIRAS_KERNEL void adam_loop(double* __restrict param,
+                            const double* __restrict grad,
+                            double* __restrict m, double* __restrict v,
+                            double* __restrict target, const AdamArgs& a) {
+  const std::size_t n = a.n;
+  const double scale = a.scale, keep = a.keep, tau = a.tau;
+  const double beta1 = a.beta1, beta2 = a.beta2;
+  const double learning_rate = a.learning_rate, epsilon = a.epsilon;
+  const double bias1 = a.bias1, bias2 = a.bias2;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double g = grad[i] * scale;
+    m[i] = beta1 * m[i] + (1.0 - beta1) * g;
+    v[i] = beta2 * v[i] + (1.0 - beta2) * g * g;
+    const double m_hat = m[i] / bias1;
+    const double v_hat = v[i] / bias2;
+    const double p =
+        (param[i] - learning_rate * m_hat / (std::sqrt(v_hat) + epsilon)) *
+        keep;
+    param[i] = p;
+    if constexpr (kTarget) target[i] = tau * p + (1.0 - tau) * target[i];
+  }
+}
+
+MIRAS_KERNEL void adam_any(const AdamArgs& a) {
+  if (a.target != nullptr) {
+    adam_loop<true>(a.param, a.grad, a.m, a.v, a.target, a);
+  } else {
+    adam_loop<false>(a.param, a.grad, a.m, a.v, nullptr, a);
+  }
+}
+
 void rows_baseline(const RowArgs& g) { rows<v2d>(g); }
 void nt_baseline(const NtArgs& g) { nt<v2d>(g); }
+void adam_baseline(const AdamArgs& a) { adam_any(a); }
 
 #if defined(__x86_64__) || defined(__i386__)
 __attribute__((target("avx2"))) void rows_avx2(const RowArgs& g) {
@@ -354,6 +395,12 @@ __attribute__((target("avx512f"))) void rows_avx512(const RowArgs& g) {
 }
 __attribute__((target("avx512f"))) void nt_avx512(const NtArgs& g) {
   nt<v8d>(g);
+}
+__attribute__((target("avx2"))) void adam_avx2(const AdamArgs& a) {
+  adam_any(a);
+}
+__attribute__((target("avx512f"))) void adam_avx512(const AdamArgs& a) {
+  adam_any(a);
 }
 
 bool cpu_supports(Isa isa) {
@@ -369,6 +416,8 @@ void rows_avx2(const RowArgs& g) { rows_baseline(g); }
 void nt_avx2(const NtArgs& g) { nt_baseline(g); }
 void rows_avx512(const RowArgs& g) { rows_baseline(g); }
 void nt_avx512(const NtArgs& g) { nt_baseline(g); }
+void adam_avx2(const AdamArgs& a) { adam_baseline(a); }
+void adam_avx512(const AdamArgs& a) { adam_baseline(a); }
 bool cpu_supports(Isa isa) { return isa == Isa::kBaseline; }
 #endif
 
@@ -422,6 +471,15 @@ void gemm_nt(Isa isa, const double* a, const double* b, double* c,
     case Isa::kAvx512: nt_avx512(g); break;
     case Isa::kAvx2: nt_avx2(g); break;
     default: nt_baseline(g); break;
+  }
+}
+
+void adam(Isa isa, const AdamArgs& args) {
+  MIRAS_EXPECTS(isa_supported(isa));
+  switch (isa) {
+    case Isa::kAvx512: adam_avx512(args); break;
+    case Isa::kAvx2: adam_avx2(args); break;
+    default: adam_baseline(args); break;
   }
 }
 

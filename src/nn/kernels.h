@@ -46,6 +46,11 @@
 // All kernels assume finite inputs (gemv's zero-skip drops 0 * x terms,
 // which only differ from the seam for non-finite x). `c` must not alias
 // the operands.
+//
+// The optimiser's per-element tail (adam) shares the seam's three
+// instantiations, its CPUID choice and its no-contraction build: one
+// vectorised walk per parameter tensor, separate multiplies and adds in
+// the scalar loop's order.
 #pragma once
 
 #include <cstddef>
@@ -102,6 +107,31 @@ void gemm_nt(Isa isa, const double* a, const double* b, double* c,
 /// row bit-identical to gemv().
 void gemm(const double* a, const double* b, double* c, std::size_t m,
           std::size_t k, std::size_t n, const Epilogue& epilogue = {});
+
+/// The per-element tail of one optimiser step over n parameters, in this
+/// order (every operation separate, never contracted):
+///   g = grad * scale
+///   m = beta1 * m + (1 - beta1) * g
+///   v = beta2 * v + (1 - beta2) * g * g
+///   p = p - learning_rate * (m / bias1) / (sqrt(v / bias2) + epsilon)
+///   p = p * keep                         (decoupled decay)
+///   t = tau * p + (1 - tau) * t          (Polyak update, when t is set)
+/// scale == 1 and keep == 1 leave g and p exactly as they are, so one loop
+/// serves the clipped and unclipped steps with or without decay. Square
+/// root and division are correctly rounded at every width, so the three
+/// instantiations agree bit for bit. The five arrays must not overlap.
+struct AdamArgs {
+  double* param;
+  const double* grad;
+  double* m;
+  double* v;
+  double* target;  // null: no Polyak update
+  std::size_t n;
+  double scale, keep, tau;
+  double beta1, beta2, learning_rate, epsilon, bias1, bias2;
+};
+
+void adam(Isa isa, const AdamArgs& args);
 
 inline void gemm_tn(const double* a, const double* b, double* c,
                     std::size_t m, std::size_t k, std::size_t n) {

@@ -106,8 +106,10 @@ const Tensor& Network::backward_shard(const Tensor& x,
 
 double Network::sharded_update(const std::vector<TrainPass>& passes,
                                std::size_t count, double max_norm,
-                               AdamOptimizer& optimizer) {
-  return sharded_adam_step(passes, count, layers_, max_norm, optimizer);
+                               AdamOptimizer& optimizer,
+                               const StepFold& fold) {
+  return sharded_adam_step(passes, count, layers_, max_norm, optimizer,
+                           fold);
 }
 
 std::size_t Network::parameter_count() const {

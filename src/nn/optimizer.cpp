@@ -34,46 +34,46 @@ AdamOptimizer::AdamOptimizer(double learning_rate, double beta1, double beta2,
   MIRAS_EXPECTS(epsilon > 0.0);
 }
 
-namespace {
-// One Adam update over n parameters, branch-free so it vectorises: the
-// clip scale is a template parameter, hoisting the branch that keeps the
-// unclipped path reading the exact stored gradient out of the loop, and
-// this file builds with -fno-math-errno (src/CMakeLists.txt), which drops
-// std::sqrt's errno call path. Square root and division are correctly
-// rounded in vector form, so every element gets the scalar loop's bits.
-template <bool kScaled>
-void adam_update(double* param, const double* grad, double* m, double* v,
-                 std::size_t n, double scale, double beta1, double beta2,
-                 double learning_rate, double epsilon, double bias1,
-                 double bias2) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const double g = kScaled ? grad[i] * scale : grad[i];
-    m[i] = beta1 * m[i] + (1.0 - beta1) * g;
-    v[i] = beta2 * v[i] + (1.0 - beta2) * g * g;
-    const double m_hat = m[i] / bias1;
-    const double v_hat = v[i] / bias2;
-    param[i] -= learning_rate * m_hat / (std::sqrt(v_hat) + epsilon);
+void AdamOptimizer::step_scaled(std::vector<DenseLayer>& layers, double scale,
+                                const StepFold& fold, kern::Isa isa) {
+  if (fold.target != nullptr) {
+    MIRAS_EXPECTS(fold.tau >= 0.0 && fold.tau <= 1.0);
+    MIRAS_EXPECTS(fold.target->size() == layers.size());
+    for (std::size_t l = 0; l < layers.size(); ++l) {
+      const DenseLayer& target = (*fold.target)[l];
+      MIRAS_EXPECTS(target.weights().same_shape(layers[l].weights()));
+      MIRAS_EXPECTS(target.bias().same_shape(layers[l].bias()));
+    }
   }
-}
-}  // namespace
-
-void AdamOptimizer::step_scaled(std::vector<DenseLayer>& layers,
-                                double scale) {
   ensure_state(weight_m_, bias_m_, layers);
   ensure_state(weight_v_, bias_v_, layers);
   ++t_;
-  const double bias1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
-  const double bias2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
+  kern::AdamArgs args{};
+  args.scale = scale;
+  args.tau = fold.tau;
+  args.beta1 = beta1_;
+  args.beta2 = beta2_;
+  args.learning_rate = learning_rate_;
+  args.epsilon = epsilon_;
+  args.bias1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
+  args.bias2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
   const auto update = [&](Tensor& param, const Tensor& grad, Tensor& m,
-                          Tensor& v) {
-    const auto run = scale == 1.0 ? adam_update<false> : adam_update<true>;
-    run(param.data(), grad.data(), m.data(), v.data(), param.size(), scale,
-        beta1_, beta2_, learning_rate_, epsilon_, bias1, bias2);
+                          Tensor& v, Tensor* target) {
+    args.param = param.data();
+    args.grad = grad.data();
+    args.m = m.data();
+    args.v = v.data();
+    args.target = target != nullptr ? target->data() : nullptr;
+    args.n = param.size();
+    kern::adam(isa, args);
   };
   for (std::size_t l = 0; l < layers.size(); ++l) {
+    args.keep = l + 1 == layers.size() ? fold.head_keep : 1.0;
+    DenseLayer* target = fold.target != nullptr ? &(*fold.target)[l] : nullptr;
     update(layers[l].weights(), layers[l].weight_grad(), weight_m_[l],
-           weight_v_[l]);
-    update(layers[l].bias(), layers[l].bias_grad(), bias_m_[l], bias_v_[l]);
+           weight_v_[l], target != nullptr ? &target->weights() : nullptr);
+    update(layers[l].bias(), layers[l].bias_grad(), bias_m_[l], bias_v_[l],
+           target != nullptr ? &target->bias() : nullptr);
   }
 }
 

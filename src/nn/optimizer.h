@@ -8,12 +8,35 @@
 #pragma once
 
 #include <cstddef>
+#include <stdexcept>
 #include <vector>
 
+#include "nn/kernels.h"
 #include "nn/layer.h"
 #include "persist/binary_io.h"
 
 namespace miras::nn {
+
+/// What one optimiser step folds into its walk over each parameter, after
+/// the parameter's Adam update (element order in kern::AdamArgs).
+struct StepFold {
+  /// The last layer's parameters are multiplied by this after their step:
+  /// decoupled decay (the DDPG actor's logit decay). 1.0 leaves them as
+  /// they are.
+  double head_keep = 1.0;
+  /// When set, target <- tau * stepped + (1 - tau) * target for every
+  /// parameter right after its step: the Polyak update of a target network
+  /// with the same architecture.
+  std::vector<DenseLayer>* target = nullptr;
+  double tau = 0.0;
+};
+
+/// A gradient norm that is not finite: the update was refused before any
+/// weight, moment or target parameter changed.
+class NonFiniteGradient : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
 
 /// Adam (Kingma & Ba 2015) with bias correction.
 class AdamOptimizer {
@@ -23,9 +46,13 @@ class AdamOptimizer {
 
   /// One Adam update from the layers' gradient buffers, every gradient
   /// scaled by `scale` on the fly — the fused form of "clip then step" used
-  /// by sharded_adam_step (train_shards.h). scale == 1.0 reads the
-  /// gradients untouched. Does not modify the gradient buffers.
-  void step_scaled(std::vector<DenseLayer>& layers, double scale);
+  /// by sharded_adam_step (train_shards.h) — with `fold` applied to each
+  /// parameter right after its step. scale == 1.0 reads the gradients
+  /// untouched. One walk per parameter tensor, at `isa` (kern::adam). Does
+  /// not modify the gradient buffers.
+  void step_scaled(std::vector<DenseLayer>& layers, double scale,
+                   const StepFold& fold = {},
+                   kern::Isa isa = kern::selected_isa());
 
   /// Snapshot/restore of the mutable optimiser state (step counter and
   /// first/second moments) for crash-resume. Hyperparameters are construction

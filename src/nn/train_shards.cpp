@@ -20,67 +20,99 @@ void prepare_pass(const std::vector<DenseLayer>& layers, TrainPass& pass) {
 
 namespace {
 
+// Blocks summed per walk over a gradient tensor; the block pointers live
+// on the stack.
+constexpr std::size_t kGroup = 8;
+
+// One walk over n elements for G consecutive blocks: per element
+// s = (first ? 0.0 : out[i]) + src[0][i] + ... + src[G-1][i], then
+// out[i] = s and, on the last group, sq_norm += s * s. Element-major, so
+// each element's block chain is short and independent of the others' and
+// runs ahead of the norm chain, whose add latency sets the pace.
+template <std::size_t G>
+double sum_group(const double* const* src, double* out, std::size_t n,
+                 bool first, bool last, double sq_norm) {
+  for (std::size_t i = 0; i < n; ++i) {
+    double s = first ? 0.0 : out[i];
+    for (std::size_t k = 0; k < G; ++k) s += src[k][i];
+    if (last) sq_norm += s * s;
+    out[i] = s;
+  }
+  return sq_norm;
+}
+
 // dst = the sum of the block gradients passes[0..count).grads[layer].*field:
 // per element ((0.0 + g_0) + g_1) + ... in ascending block order, the chain
 // fill(0.0) followed by one += per block computed, so the explicit 0.0 +
-// still turns a -0.0 sum into +0.0. One pass over dst: a chunk of it is
-// summed on the stack, each block's add vectorised across elements, then
-// stored.
-void reduce_blocks(const std::vector<TrainPass>& passes, std::size_t count,
-                   std::size_t layer, Tensor LayerGrad::*field, Tensor& dst) {
-  constexpr std::size_t kChunk = 512;
-  double acc[kChunk];
-  for (std::size_t m = 0; m < count; ++m)
-    MIRAS_EXPECTS((passes[m].grads[layer].*field).same_shape(dst));
-  for (std::size_t i0 = 0; i0 < dst.size(); i0 += kChunk) {
-    const std::size_t n = std::min(kChunk, dst.size() - i0);
-    for (std::size_t i = 0; i < n; ++i) acc[i] = 0.0;
-    for (std::size_t m = 0; m < count; ++m) {
-      const double* src = (passes[m].grads[layer].*field).data() + i0;
-      for (std::size_t i = 0; i < n; ++i) acc[i] += src[i];
+// still turns a -0.0 sum into +0.0. Returns sq_norm + dst[0]^2 + dst[1]^2
+// + ..., one serial chain in ascending element order, each term added as
+// its element is stored. Up to kGroup blocks this is one walk over dst;
+// more blocks walk it once per kGroup, the last walk adding the norm.
+double reduce_blocks(const std::vector<TrainPass>& passes, std::size_t count,
+                     std::size_t layer, Tensor LayerGrad::*field, Tensor& dst,
+                     double sq_norm) {
+  const double* src[kGroup];
+  std::size_t g0 = 0;
+  do {
+    const std::size_t g = std::min(kGroup, count - g0);
+    for (std::size_t k = 0; k < g; ++k) {
+      const Tensor& block = passes[g0 + k].grads[layer].*field;
+      MIRAS_EXPECTS(block.same_shape(dst));
+      src[k] = block.data();
     }
-    std::memcpy(dst.data() + i0, acc, n * sizeof(double));
-  }
+    const bool first = g0 == 0;
+    const bool last = g0 + g == count;
+    double* out = dst.data();
+    const std::size_t n = dst.size();
+    switch (g) {
+      case 0: sq_norm = sum_group<0>(src, out, n, first, last, sq_norm); break;
+      case 1: sq_norm = sum_group<1>(src, out, n, first, last, sq_norm); break;
+      case 2: sq_norm = sum_group<2>(src, out, n, first, last, sq_norm); break;
+      case 3: sq_norm = sum_group<3>(src, out, n, first, last, sq_norm); break;
+      case 4: sq_norm = sum_group<4>(src, out, n, first, last, sq_norm); break;
+      case 5: sq_norm = sum_group<5>(src, out, n, first, last, sq_norm); break;
+      case 6: sq_norm = sum_group<6>(src, out, n, first, last, sq_norm); break;
+      case 7: sq_norm = sum_group<7>(src, out, n, first, last, sq_norm); break;
+      default: sq_norm = sum_group<8>(src, out, n, first, last, sq_norm); break;
+    }
+    g0 += g;
+  } while (g0 < count);
+  return sq_norm;
 }
 
 }  // namespace
 
 double sharded_adam_step(const std::vector<TrainPass>& passes,
                          std::size_t count, std::vector<DenseLayer>& layers,
-                         double max_norm, AdamOptimizer& optimizer) {
+                         double max_norm, AdamOptimizer& optimizer,
+                         const StepFold& fold, kern::Isa isa) {
   MIRAS_EXPECTS(count <= passes.size());
   MIRAS_EXPECTS(max_norm > 0.0);
   for (std::size_t m = 0; m < count; ++m)
     MIRAS_EXPECTS(passes[m].grads.size() == layers.size());
-  // Pass 1: reduce + norm, layer by layer: per element the left-to-right
+  // Walk 1: reduce + norm, layer by layer: per element the left-to-right
   // chain 0 + block_0 + block_1 + ..., and the norm in ascending layer
   // order, weights then bias.
   double sq_norm = 0.0;
   for (std::size_t l = 0; l < layers.size(); ++l) {
-    Tensor& wg = layers[l].weight_grad();
-    Tensor& bg = layers[l].bias_grad();
-    reduce_blocks(passes, count, l, &LayerGrad::weight, wg);
-    reduce_blocks(passes, count, l, &LayerGrad::bias, bg);
-    for (std::size_t i = 0; i < wg.size(); ++i) {
-      const double g = wg.data()[i];
-      sq_norm += g * g;
-    }
-    for (std::size_t i = 0; i < bg.size(); ++i) {
-      const double g = bg.data()[i];
-      sq_norm += g * g;
-    }
+    sq_norm = reduce_blocks(passes, count, l, &LayerGrad::weight,
+                            layers[l].weight_grad(), sq_norm);
+    sq_norm = reduce_blocks(passes, count, l, &LayerGrad::bias,
+                            layers[l].bias_grad(), sq_norm);
   }
   const double norm = std::sqrt(sq_norm);
   // A NaN or infinite gradient would poison every weight for good (and the
-  // next checkpoint would save them): refuse before Adam touches any.
+  // next checkpoint would save them): refuse before Adam touches any. The
+  // caller adds which network and which update (NonFiniteGradient).
   if (!std::isfinite(norm))
-    throw std::runtime_error(
-        "sharded_adam_step: gradient norm is not finite (" +
-        std::to_string(norm) + "); no weight was updated");
+    throw NonFiniteGradient("gradient norm is not finite (" +
+                            std::to_string(norm) +
+                            "); no weight was updated");
   const double scale =
       norm > max_norm && norm > 0.0 ? max_norm / norm : 1.0;
-  // Pass 2: scaled Adam update (the scale folds the clip into the step).
-  optimizer.step_scaled(layers, scale);
+  // Walk 2: Adam with the clip folded in as a gradient scale, then the
+  // decay and target update of each parameter (StepFold).
+  optimizer.step_scaled(layers, scale, fold, isa);
   return norm;
 }
 

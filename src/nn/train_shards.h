@@ -32,17 +32,18 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/thread_pool.h"
+#include "nn/kernels.h"
 #include "nn/layer.h"
+#include "nn/optimizer.h"
 #include "nn/tensor.h"
 #include "nn/workspace.h"
 
 namespace miras::nn {
-
-class AdamOptimizer;
 
 /// Fixed gradient-block granularity (rows). The canonical accumulation
 /// grouping is defined at this granularity, NOT at the shard count, so the
@@ -116,16 +117,37 @@ void prepare_pass(const std::vector<DenseLayer>& layers, TrainPass& pass);
 /// The serial tail of one sharded update, in two walks over the parameters:
 ///  1. overwrite each layer's gradient buffers with the sum of
 ///     passes[0..count) — per element the chain 0 + block_0 + block_1 + ...
-///     in ascending block order — and accumulate the global gradient L2
-///     norm (ascending layer, weights then bias);
-///  2. one Adam step with every gradient scaled by max_norm / norm when the
-///     norm exceeds max_norm (the clip, folded into the step).
-/// Returns the pre-clip norm. Throws std::runtime_error, before any weight
-/// or Adam moment changes, when that norm is not finite (a NaN or infinite
-/// loss upstream), so one bad update cannot poison the networks.
+///     in ascending block order — and, chunk by chunk as it is stored,
+///     accumulate the global gradient L2 norm (one serial chain: ascending
+///     layer, weights then bias, ascending element);
+///  2. one Adam step (AdamOptimizer::step_scaled at `isa`) with every
+///     gradient scaled by max_norm / norm when the norm exceeds max_norm
+///     (the clip, folded into the step), and `fold`'s decay and target
+///     update applied to each parameter right after its step.
+/// Returns the pre-clip norm. Throws NonFiniteGradient, before any weight,
+/// Adam moment, step count or target parameter changes, when that norm is
+/// not finite (a NaN or infinite loss upstream), so one bad update cannot
+/// poison the networks.
 double sharded_adam_step(const std::vector<TrainPass>& passes,
                          std::size_t count, std::vector<DenseLayer>& layers,
-                         double max_norm, AdamOptimizer& optimizer);
+                         double max_norm, AdamOptimizer& optimizer,
+                         const StepFold& fold = {},
+                         kern::Isa isa = kern::selected_isa());
+
+/// Runs step() — one sharded update — and, when it throws
+/// NonFiniteGradient, rethrows it with `network`, `phase` and `index`
+/// ("critic, DDPG update 12: ...") in front of the message. The context
+/// costs nothing unless the update fails.
+template <typename Step>
+double name_non_finite(const char* network, const char* phase,
+                       std::size_t index, Step&& step) {
+  try {
+    return step();
+  } catch (const NonFiniteGradient& e) {
+    throw NonFiniteGradient(std::string(network) + ", " + phase + " " +
+                            std::to_string(index) + ": " + e.what());
+  }
+}
 
 /// Runs body(m) for every block index in [0, blocks): inline in ascending
 /// order without a pool, otherwise distributed over the pool. `shards == 0`

@@ -480,24 +480,38 @@ double DdpgAgent::update(std::size_t count) {
     double critic_loss = 0.0;
     for (std::size_t m = 0; m < blocks; ++m)
       critic_loss += critic_passes_[m].loss;
-    // Fused zero + reduce + clip + step per critic: one serial tail between
-    // pool barriers instead of three full parameter walks each.
-    critic_.sharded_update(critic_passes_, blocks, config_.grad_clip,
-                           critic_optimizer_);
+    // TD3's delay: the actor and the three target networks move on every
+    // policy_delay-th update only. The critics' target updates ride in
+    // their own Adam walks (the actor step below reads the critic, never
+    // its target), so each parameter is visited once.
+    const std::size_t update_index = updates_performed_ + 1;
+    const bool delayed =
+        update_index % std::max<std::size_t>(config_.policy_delay, 1) == 0;
+    const auto target_fold = [&](std::vector<nn::DenseLayer>& target) {
+      return delayed ? nn::StepFold{1.0, &target, config_.tau}
+                     : nn::StepFold{};
+    };
+    // Fused reduce + clip + step per critic: one serial tail between pool
+    // barriers.
+    nn::name_non_finite("critic", "DDPG update", update_index, [&] {
+      return critic_.sharded_update(critic_passes_, blocks, config_.grad_clip,
+                                    critic_optimizer_,
+                                    target_fold(critic_target_.layers()));
+    });
     critic_loss_sum += critic_loss;
 
     if (config_.twin_critics)
-      critic2_.sharded_update(critic2_passes_, blocks, config_.grad_clip,
-                              critic2_optimizer_);
+      nn::name_non_finite("critic2", "DDPG update", update_index, [&] {
+        return critic2_.sharded_update(critic2_passes_, blocks,
+                                       config_.grad_clip, critic2_optimizer_,
+                                       target_fold(critic2_target_.layers()));
+      });
 
     ++updates_performed_;
     ++ran;
+    if (!delayed) continue;
 
-    // ---- Delayed actor + target updates (TD3).
-    if (updates_performed_ % std::max<std::size_t>(config_.policy_delay, 1) !=
-        0)
-      continue;
-
+    // ---- Delayed actor update (TD3).
     // The critic is only a conduit for dQ/da here: backward_shard in
     // kActions mode computes no parameter gradients at all, so the
     // critic's own buffers and its block gradients stay untouched.
@@ -527,20 +541,15 @@ double DdpgAgent::update(std::size_t count) {
       }
       actor_.backward_shard(apass.in, cpass.grad_actions, apass);
     });
-    actor_.sharded_update(actor_passes_, blocks, config_.grad_clip,
-                          actor_optimizer_);
-    if (config_.actor_logit_decay > 0.0) {
-      nn::DenseLayer& head = actor_.layers().back();
-      const double keep = 1.0 - config_.actor_logit_decay;
-      head.weights() *= keep;
-      head.bias() *= keep;
-    }
-
-    // ---- Target networks.
-    actor_target_.soft_update_from(actor_, config_.tau);
-    critic_target_.soft_update_from(critic_, config_.tau);
-    if (config_.twin_critics)
-      critic2_target_.soft_update_from(critic2_, config_.tau);
+    // One walk: Adam, the logit decay of the head layer, then the actor
+    // target's soft update, parameter by parameter.
+    nn::StepFold actor_fold = target_fold(actor_target_.layers());
+    if (config_.actor_logit_decay > 0.0)
+      actor_fold.head_keep = 1.0 - config_.actor_logit_decay;
+    nn::name_non_finite("actor", "DDPG update", update_index, [&] {
+      return actor_.sharded_update(actor_passes_, blocks, config_.grad_clip,
+                                   actor_optimizer_, actor_fold);
+    });
 
     if (config_.exploration == ExplorationMode::kParameterNoise)
       adapt_parameter_noise();

@@ -142,7 +142,7 @@ TEST(Critic, SoftUpdateInterpolates) {
   CriticNetwork b(small_spec(), rng);
   const auto pa = a.get_parameters();
   const auto pb = b.get_parameters();
-  b.soft_update_from(a, 0.1);
+  soft_update(b.layers(), a.layers(), 0.1);
   const auto blended = b.get_parameters();
   for (std::size_t i = 0; i < pa.size(); ++i)
     EXPECT_NEAR(blended[i], 0.1 * pa[i] + 0.9 * pb[i], 1e-12);

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "common/contracts.h"
 #include "common/rng.h"
+#include "nn/optimizer.h"
 
 namespace miras::envmodel {
 namespace {
@@ -86,6 +89,24 @@ TEST(DynamicsModel, DeltaAndAbsoluteModesBothLearn) {
     DynamicsModel model(2, 2, config);
     model.fit(data);
     EXPECT_LT(model.evaluate(data), 3.0) << "predict_delta=" << delta;
+  }
+}
+
+TEST(DynamicsModel, NonFiniteFitNamesTheModelAndEpoch) {
+  TransitionDataset data = linear_dynamics_dataset(64, 4);
+  data.add(Transition{{1.0, 1.0},
+                      {1, 1},
+                      {std::numeric_limits<double>::infinity(), 1.0},
+                      0.0});
+  DynamicsModel model(2, 2, small_config());
+  try {
+    model.fit(data);
+    ADD_FAILURE() << "an infinite target did not throw";
+  } catch (const nn::NonFiniteGradient& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "dynamics model, fit epoch 1: gradient norm is not finite"),
+              std::string::npos)
+        << e.what();
   }
 }
 
